@@ -26,13 +26,12 @@ CONFIGS = [
 ]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output-dir", default=None)
     parser.add_argument("--bits", type=int, default=None,
                         help="quantize the modulo samples before recovery")
-    parser.add_argument("--estimator", choices=["prony", "pencil"], default="prony")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     header = f"{'configuration':<24} {'P':>3} {'M':>4} {'K':>5} {'T_FD/T':>7} " \
              f"{'DR ratio':>9} {'MSE_FD':>10} {'MSE_US':>10}"
@@ -48,7 +47,7 @@ def main() -> int:
             out = str(Path(args.output_dir) / label.replace(" ", "_").replace("/", "-"))
         cfg = ExperimentConfig(
             T=1.0 / K, K=K, method="both", source=src,
-            estimator=args.estimator, threshold=1.0, output_dir=out,
+            threshold=1.0, output_dir=out,
         )
         m = run_experiment(cfg)
         oversampling = float(m["T_FD"]) / float(m["T"])

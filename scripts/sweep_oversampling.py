@@ -26,13 +26,13 @@ from modsample.harness import (
 )
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--P", type=int, default=4)
     parser.add_argument("--amplitude", type=float, default=4.0)
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--output-dir", default=None)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     src = SyntheticSource(
         P=args.P, tau=1.0, amplitude=args.amplitude,

@@ -18,13 +18,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from modsample.harness import ExperimentConfig, SyntheticSource, run_experiment
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--P", type=int, default=6)
     parser.add_argument("--K", type=int, default=256)
     parser.add_argument("--amplitude", type=float, default=4.0)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     print(f"{'bits':>5} {'q':>10} {'MSE_FD':>12}")
     for bits in (6, 8, 10, 12, 14, None):
@@ -32,10 +32,7 @@ def main() -> int:
             P=args.P, tau=1.0, amplitude=args.amplitude, seed=args.seed,
             threshold=1.0, bits=bits,
         )
-        cfg = ExperimentConfig(
-            T=1.0 / args.K, K=args.K, method="fp", source=src,
-            estimator="pencil" if bits is not None else "prony",
-        )
+        cfg = ExperimentConfig(T=1.0 / args.K, K=args.K, method="fp", source=src)
         metrics = run_experiment(cfg)
         q = 2.0 / 2**bits if bits is not None else 0.0
         label = str(bits) if bits is not None else "none"

@@ -45,18 +45,14 @@ from .signal_model import (
 )
 from .spectral import (
     ExponentialModel,
-    SpectralData,
     amplitudes_ls,
     annihilator,
     band_partition,
-    build_toeplitz,
     build_toeplitz_tall,
     estimate_fold_count,
     extract_out_of_band,
-    forward_dft,
-    inverse_dft,
+    grid_support,
     matrix_pencil,
-    roots_and_instants,
 )
 
 __version__ = "0.1.0"

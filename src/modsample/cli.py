@@ -23,19 +23,11 @@ def _add_grid_args(p, require_signal=False):
 
 def _add_recovery_args(p):
     p.add_argument("--M", type=int, help="number of residue jumps (after differencing)")
-    p.add_argument("--lambda", dest="threshold", type=float, help="folding threshold")
     p.add_argument("--beta-g", type=float, help="max-norm bound for the baseline order rule")
     p.add_argument("--method", choices=["fp", "usf", "both"], default="fp")
-    p.add_argument("--estimator", choices=["prony", "pencil"], default="prony")
-    p.add_argument("--pencil-q", type=int, help="matrix-pencil window width")
-    p.add_argument("--diff-mode", choices=["circular", "literal"], default="circular")
-    p.add_argument("--block-offset", type=int, default=None,
-                   help="shift of the Toeplitz block from the out-of-band center")
     p.add_argument("--calibrate", choices=["mean", "none"], default="mean")
     p.add_argument("--lambda-grid", type=str,
                    help="lo:hi:step grid for threshold optimization")
-    p.add_argument("--p-inflation", type=float, default=0.2,
-                   help="fractional bandwidth-index inflation for captures")
 
 
 def _add_synthetic_args(p):
@@ -69,14 +61,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("recover", help="reconstruct a capture file")
     p_rec.add_argument("--input", required=True, help="capture CSV path")
     _add_grid_args(p_rec, require_signal=True)
+    p_rec.add_argument("--lambda", dest="threshold", type=float, help="folding threshold")
     _add_recovery_args(p_rec)
+    p_rec.add_argument("--p-inflation", type=float, default=0.2,
+                       help="fractional bandwidth-index inflation for captures")
     p_rec.add_argument("--output-dir", required=True)
 
     p_sweep = sub.add_parser("sweep", help="sweep a config field over values")
     _add_grid_args(p_sweep, require_signal=True)
     p_sweep.add_argument("--lambda", dest="threshold", type=float, required=True)
     _add_synthetic_args(p_sweep)
-    _add_sweep_recovery_args(p_sweep)
+    _add_recovery_args(p_sweep)
     p_sweep.add_argument("--axis", required=True, help="numeric config field to vary")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--output-dir", required=True)
@@ -88,18 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--omega", type=float, default=None,
                           help="bandwidth in rad/s (default 2*pi*P/tau)")
     return parser
-
-
-def _add_sweep_recovery_args(p):
-    p.add_argument("--M", type=int)
-    p.add_argument("--beta-g", type=float)
-    p.add_argument("--method", choices=["fp", "usf", "both"], default="fp")
-    p.add_argument("--estimator", choices=["prony", "pencil"], default="prony")
-    p.add_argument("--pencil-q", type=int)
-    p.add_argument("--diff-mode", choices=["circular", "literal"], default="circular")
-    p.add_argument("--block-offset", type=int, default=None)
-    p.add_argument("--calibrate", choices=["mean", "none"], default="mean")
-    p.add_argument("--lambda-grid", type=str)
 
 
 def _resolve_grid(args) -> tuple[float, float, int]:
@@ -119,7 +102,7 @@ def _resolve_grid(args) -> tuple[float, float, int]:
     return tau, T, K
 
 
-def _parse_lambda_grid(text, threshold):
+def _parse_lambda_grid(text):
     if text is None:
         return None
     parts = text.split(":")
@@ -187,13 +170,9 @@ def _cmd_recover(args) -> int:
         P_used=args.P,
         p_inflation=args.p_inflation,
         M=M,
-        estimator=args.estimator,
-        mode=args.diff_mode,
-        pencil_Q=args.pencil_q,
-        block_offset=args.block_offset,
         threshold=args.threshold,
         beta_g=args.beta_g,
-        lambda_grid=_parse_lambda_grid(args.lambda_grid, args.threshold),
+        lambda_grid=_parse_lambda_grid(args.lambda_grid),
         calibrate=args.calibrate,
         output_dir=args.output_dir,
     )
@@ -222,13 +201,9 @@ def _cmd_sweep(args) -> int:
         method=args.method,
         source=src,
         M=args.M,
-        estimator=args.estimator,
-        mode=args.diff_mode,
-        pencil_Q=args.pencil_q,
-        block_offset=args.block_offset,
         threshold=args.threshold,
         beta_g=args.beta_g,
-        lambda_grid=_parse_lambda_grid(args.lambda_grid, args.threshold),
+        lambda_grid=_parse_lambda_grid(args.lambda_grid),
         calibrate=args.calibrate,
     )
     values = [v for v in args.values.split(",") if v]

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import folding, recovery, signal_model, spectral
+from . import folding, recovery, signal_model
 from .exceptions import CaptureFormatError, ModsampleError, RecoveryError
 
 _GRID_UNIFORMITY_RTOL = 1e-6
@@ -42,10 +42,6 @@ class ExperimentConfig:
     P_used: Optional[int] = None
     p_inflation: float = 0.0
     M: Optional[int] = None
-    estimator: str = recovery.PRONY
-    mode: str = spectral.CIRCULAR
-    pencil_Q: Optional[int] = None
-    block_offset: Optional[int] = None
     threshold: Optional[float] = None  # baseline folding threshold
     beta_g: Optional[float] = None
     lambda_grid: Optional[tuple] = None  # (lo, hi, step)
@@ -85,9 +81,9 @@ def load_capture(path) -> CaptureFile:
 
     Format: optional '#'-prefixed comment lines (``# key = value`` pairs are
     kept as metadata), then a ``time,truth,modulo`` or ``time,modulo`` header
-    and numeric rows. Timestamps must be uniformly spaced to within 1e-6
-    relative. A ``dc_offset`` metadata value is subtracted from the modulo
-    column.
+    and rows of finite numbers. Timestamps must be uniformly spaced to
+    within 1e-6 relative. A ``dc_offset`` metadata value is subtracted from
+    the modulo column.
     """
     path = Path(path)
     metadata: dict = {}
@@ -117,9 +113,12 @@ def load_capture(path) -> CaptureFile:
                     f"expected {len(header)} columns, got {len(cells)}", line=lineno
                 )
             try:
-                rows.append([float(c) for c in cells])
+                row = [float(c) for c in cells]
             except ValueError as exc:
                 raise CaptureFormatError(str(exc), line=lineno) from exc
+            if not all(math.isfinite(v) for v in row):
+                raise CaptureFormatError("non-finite sample", line=lineno)
+            rows.append(row)
     if header is None or len(rows) < 2:
         raise CaptureFormatError("capture needs a header and at least two rows")
     data = np.asarray(rows, dtype=float)
@@ -173,12 +172,11 @@ def synthesize_measurement(src: SyntheticSource, grid: signal_model.UniformGrid)
     return gamma, y, spec
 
 
-def realized_fold_count(spec: folding.ResidueSpec, grid: signal_model.UniformGrid,
-                        circular: bool = True) -> int:
-    """Number of spikes in the differenced residue, counting the wrap spike
-    that circular differencing adds when the jumps do not cancel."""
+def realized_fold_count(spec: folding.ResidueSpec, grid: signal_model.UniformGrid) -> int:
+    """Number of spikes in the circularly differenced residue, counting the
+    wrap spike when the jumps do not cancel."""
     r = spec.step_values(grid.times)
-    rbar = folding.finite_difference(r, 1, circular=circular)
+    rbar = folding.finite_difference(r, 1, circular=True)
     scale = max(np.max(np.abs(rbar), initial=0.0), 1.0)
     return int(np.sum(np.abs(rbar) > 1e-12 * scale))
 
@@ -250,11 +248,10 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
     P_used = cfg.P_used if cfg.P_used is not None else P_signal
     if cfg.capture_path is not None and cfg.p_inflation > 0:
         P_used = int(math.ceil(P_used * (1.0 + cfg.p_inflation)))
-    circular = cfg.mode == spectral.CIRCULAR
     if cfg.M is not None:
         M = cfg.M
     elif spec is not None:
-        M = realized_fold_count(spec, grid, circular=circular)
+        M = realized_fold_count(spec, grid)
     else:
         raise ValueError("M is required for capture sources")
 
@@ -291,14 +288,7 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
     opt_report = None
     if cfg.method in ("fp", "both"):
         fp_report = recovery.fourier_prony_recover(
-            y,
-            P_used,
-            M,
-            mode=cfg.mode,
-            estimator=cfg.estimator,
-            pencil_Q=cfg.pencil_Q,
-            block_offset=cfg.block_offset,
-            calibration_reference=calibration,
+            y, P_used, M, calibration_reference=calibration
         )
         if gamma_values is not None:
             metrics["MSE_FD"] = _fmt(
@@ -345,7 +335,7 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
         _write_reconstruction(
             out_dir / "reconstruction.csv", grid, y, gamma_values, fp_report, us_report
         )
-        _write_spectrum(out_dir / "spectrum.csv", y, fp_report, cfg.mode)
+        _write_spectrum(out_dir / "spectrum.csv", y, fp_report)
     return metrics
 
 
@@ -379,17 +369,16 @@ def _write_reconstruction(path, grid, y, gamma_values, fp_report, us_report):
             writer.writerow(row)
 
 
-def _write_spectrum(path, y, fp_report, mode):
-    circular = mode == spectral.CIRCULAR
-    ybar = folding.finite_difference(y.values, 1, circular=circular)
+def _write_spectrum(path, y, fp_report):
+    ybar = folding.finite_difference(y.values, 1, circular=True)
     bins = np.fft.fft(ybar)
     L = len(bins)
-    model_bins = np.zeros(L, dtype=complex)
-    if fp_report is not None and fp_report.model is not None and fp_report.model.M:
-        n_all = np.arange(L)
-        model_bins = (
-            fp_report.model.xi[None, :] ** n_all[:, None]
-        ) @ fp_report.model.c
+    spikes = np.zeros(L)
+    if fp_report is not None:
+        # the model's instants lie on the sampling grid
+        k = np.rint(fp_report.model.t / y.grid.T).astype(int)
+        spikes[k] = fp_report.model.c
+    model_bins = np.fft.fft(spikes)
     with path.open("w") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "abs_ybar_dft", "abs_residue_model_dft"])
@@ -439,7 +428,7 @@ def _set_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
         return replace(cfg, source=replace(cfg.source, **{axis: caster(value)}))
     if not hasattr(cfg, axis):
         raise ValueError(f"unknown config field {axis!r}")
-    caster = int if axis in ("K", "M", "P_used", "pencil_Q", "block_offset") else float
+    caster = int if axis in ("K", "M", "P_used") else float
     out = replace(cfg, **{axis: caster(value)})
     if axis == "K" and cfg.source is not None:
         # keep the one-period relation K*T = tau for synthetic sources

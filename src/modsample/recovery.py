@@ -19,9 +19,6 @@ from .signal_model import SampleVector
 
 _EULER = float(np.e)
 
-PRONY = "prony"
-PENCIL = "pencil"
-
 
 @dataclass(frozen=True)
 class RecoveryReport:
@@ -90,20 +87,17 @@ def fourier_prony_recover(
     y: SampleVector,
     P: int,
     M: int,
-    mode: str = spectral.CIRCULAR,
-    estimator: str = PRONY,
-    pencil_Q: int | None = None,
-    block_offset: int | None = None,
-    snap_instants: bool = True,
     calibration_reference=None,
 ) -> RecoveryReport:
     """Unfold modulo samples by estimating the residue in the Fourier domain.
 
-    Pipeline: first difference, DFT, out-of-band extraction, spike estimation
-    (annihilating filter or matrix pencil) with real least-squares amplitudes,
-    spike-train synthesis, anti-difference and recombination with the folded
-    samples. The result is exact for noiseless grid-aligned folds in circular
-    mode and never consults the folding threshold.
+    Pipeline: circular first difference, DFT, out-of-band extraction, the
+    spike support on the sampling grid (:func:`spectral.grid_support`) with
+    real least-squares amplitudes, anti-difference and recombination with
+    the folded samples. Folding instants lie on the sampling grid by model,
+    so the differenced residue is the fitted amplitudes placed at the
+    support. The result is exact for noiseless folds whenever
+    K >= 2(P+M+1), and the folding threshold is never consulted.
 
     Parameters
     ----------
@@ -112,37 +106,21 @@ def fourier_prony_recover(
     P : int
         Bandwidth index of the underlying signal.
     M : int
-        Number of residue jumps after first differencing (circular mode can
-        add one wrap jump at the last sample; count it).
-    mode : {"circular", "literal"}
-        Circular differencing keeps K samples and confines the bandlimited
-        part exactly; literal differencing drops one sample as in the
-        original formulation.
-    estimator : {"prony", "pencil"}
-        Spike-root estimator.
-    pencil_Q : int, optional
-        Pencil parameter; None selects floor(len(z)/3) clamped to the valid
-        range.
-    block_offset : int, optional
-        When given, restrict the annihilator solve to the 2M-sample Toeplitz
-        block shifted by this amount from the out-of-band center; default
-        uses every out-of-band bin (prony estimator only).
-    snap_instants : bool
-        Round estimated instants to the sampling grid before refitting
-        amplitudes (folding instants are grid-aligned by model).
+        Number of spikes in the circular first difference of the residue:
+        the jumps, plus the wrap jump at the last sample when they do not
+        cancel.
     calibration_reference : array_like, optional
         When given, the output offset matches this reference's mean instead
         of normalizing to zero mean.
     """
     K = y.grid.K
-    T = y.grid.T
     if M < 0:
         raise ValueError("M must be nonnegative")
     if K < 2 * (P + M + 1):
         raise UndersampledError(
             f"K={K} below the recovery bound 2(P+M+1)={2 * (P + M + 1)}"
         )
-    diagnostics: dict = {"mode": mode, "estimator": estimator, "M": M}
+    diagnostics: dict = {"M": M}
 
     if M == 0:
         offset = _apply_offset(y.values, calibration_reference)
@@ -155,93 +133,40 @@ def fourier_prony_recover(
             diagnostics=diagnostics,
         )
 
-    # step 1: first difference
-    circular = mode == spectral.CIRCULAR
-    ybar = folding.finite_difference(y.values, 1, circular=circular)
-    L = len(ybar)
+    # steps 1-3: the circular first difference confines the bandlimited part
+    # exactly to 2P+1 DFT bins, so the out-of-band bins carry only the
+    # (negated) spike spectrum
+    ybar = folding.finite_difference(y.values, 1, circular=True)
+    z, n_idx = spectral.extract_out_of_band(np.fft.fft(ybar), P)
 
-    # step 2: DFT
-    S = spectral.forward_dft(ybar, mode)
-
-    # step 3: out-of-band bins carry only the (negated) spike spectrum
+    # step 4: spike support on the grid and real amplitudes
     try:
-        z, n_idx = spectral.extract_out_of_band(S, P)
-    except UndersampledError as exc:
-        raise RecoveryError(str(exc), step=3) from exc
-    if len(z) < 2 * M:
-        raise RecoveryError(
-            f"out-of-band bin count {len(z)} < 2M={2 * M}", step=3
-        )
-
-    # step 4: spike roots and amplitudes
-    try:
-        if estimator == PENCIL:
-            xi = spectral.matrix_pencil(z, M, Q=pencil_Q)
-        elif estimator == PRONY:
-            if block_offset is None:
-                # every out-of-band bin: over-determined null space is far
-                # more robust for clustered folds than the minimal 2M block
-                Tmat = spectral.build_toeplitz_tall(z, M)
-            else:
-                center = len(z) // 2
-                start = min(max(center - M + block_offset, 0), len(z) - 2 * M)
-                Tmat = spectral.build_toeplitz(z[start : start + 2 * M], M)
-            p, ann_diag = spectral.annihilator(Tmat)
-            diagnostics.update({f"annihilator_{k}": v for k, v in ann_diag.items()})
-            xi = spectral.roots_and_instants(p, T, L).xi
-        else:
-            raise ValueError(f"unknown estimator {estimator!r}")
-    except (ValueError, ArithmeticError) as exc:
+        k_hat = spectral.grid_support(z, K, M)
+    except ValueError as exc:
         raise RecoveryError(str(exc), step=4) from exc
-
-    w0 = 2.0 * np.pi / L
-    instants = (-np.angle(xi)) % (2.0 * np.pi) / w0 * T
-    if snap_instants:
-        k_hat = np.round(instants / T).astype(int) % L
-        # snapped instants can collide; merging keeps the LS system full rank
-        k_hat = _deduplicate(k_hat, L)
-        xi = np.exp(-1j * w0 * k_hat)
-        instants = k_hat * T
+    xi = np.exp(-2j * np.pi * k_hat / K)
     # z = -spike spectrum on the out-of-band set, hence the sign flip
     c_hat, residual = spectral.amplitudes_ls(-z, n_idx, xi)
     diagnostics["fit_residual"] = residual
-    model = spectral.ExponentialModel(xi=xi, c=c_hat, t=instants)
 
-    # step 5: synthesize the full spike spectrum and invert
-    n_all = np.arange(L)
-    rbar_hat_spectrum = (model.xi[None, :] ** n_all[:, None]) @ model.c
-    rbar_hat = np.fft.ifft(rbar_hat_spectrum).real
+    # step 5: the differenced residue is c_hat at the support
+    rbar_hat = np.zeros(K)
+    rbar_hat[k_hat] = c_hat
 
     # step 6: anti-difference back to the residue (up to a constant)
-    r_full = anti_difference(rbar_hat)
-    r_hat = r_full[:K] if circular else r_full
+    r_hat = anti_difference(rbar_hat)[:K]
 
     # step 7: recombine with the folded samples
     raw_gamma = y.values + r_hat
     offset = _apply_offset(raw_gamma, calibration_reference)
-    if model.off_unit_circle():
-        diagnostics["roots_off_unit_circle"] = True
     return RecoveryReport(
         gamma_hat=y.with_values(raw_gamma + offset),
         residue_hat=y.with_values(r_hat),
-        model=model,
+        model=spectral.ExponentialModel(xi=xi, c=c_hat, t=k_hat * y.grid.T),
         method="fourier_prony",
         offset_applied=offset,
         diagnostics=diagnostics,
     )
-
-
-def _deduplicate(k_hat: np.ndarray, L: int) -> np.ndarray:
-    """Nudge colliding snapped grid indices to free neighbours."""
-    seen = set()
-    out = []
-    for k in k_hat:
-        k = int(k)
-        while k in seen:
-            k = (k + 1) % L
-        seen.add(k)
-        out.append(k)
-    return np.array(out, dtype=int)
 
 
 def usf_recover(

@@ -1,40 +1,21 @@
-"""Fourier-domain spike estimation: DFT, band partitioning, Toeplitz
-annihilating filter, matrix pencil and least-squares amplitude fitting."""
+"""Fourier-domain spike estimation: band partitioning, the on-grid spike
+support, least-squares amplitudes, and the annihilating filter and matrix
+pencil kept as reference estimators.
+
+Folding instants lie on the sampling grid by model, so the first difference
+of the residue is a train of M spikes at integer indices k_m of the L-point
+grid, and its DFT is sum_m c_m xi_m^n with xi_m = exp(-2j pi k_m / L).
+:func:`grid_support` uses that directly and never roots a polynomial.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import DegenerateRootsError, UndersampledError
-
-LITERAL = "literal"
-CIRCULAR = "circular"
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Unnormalized DFT bins of a differenced sample sequence."""
-
-    bins: np.ndarray
-    mode: str
-
-    def __post_init__(self):
-        bins = np.asarray(self.bins, dtype=complex)
-        if bins.ndim != 1 or len(bins) < 1:
-            raise ValueError("bins must be a nonempty 1-D array")
-        if self.mode not in (LITERAL, CIRCULAR):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "bins", bins)
-
-    def __len__(self) -> int:
-        return len(self.bins)
-
-    @property
-    def base_freq(self) -> float:
-        """Bin spacing 2*pi/length in rad per bin-sample."""
-        return 2.0 * np.pi / len(self.bins)
 
 
 @dataclass(frozen=True)
@@ -61,25 +42,6 @@ class ExponentialModel:
     def M(self) -> int:
         return len(self.xi)
 
-    def off_unit_circle(self, tol: float = 0.01) -> bool:
-        """Diagnostic: any root with modulus outside [1-tol, 1+tol]."""
-        if self.M == 0:
-            return False
-        return bool(np.any(np.abs(np.abs(self.xi) - 1.0) > tol))
-
-
-def forward_dft(ybar, mode: str) -> SpectralData:
-    """Unnormalized forward DFT, bins[n] = sum_k ybar[k] exp(-j w0 n k)."""
-    ybar = np.asarray(ybar)
-    if ybar.ndim != 1 or len(ybar) < 1:
-        raise ValueError("ybar must be a nonempty 1-D array")
-    return SpectralData(bins=np.fft.fft(ybar), mode=mode)
-
-
-def inverse_dft(spectral: SpectralData) -> np.ndarray:
-    """Inverse of :func:`forward_dft` (conjugate transform / length)."""
-    return np.fft.ifft(spectral.bins)
-
 
 def band_partition(L: int, P: int):
     """Split DFT indices {0..L-1} into the 2P+1 in-band bins
@@ -98,54 +60,62 @@ def band_partition(L: int, P: int):
     return in_band, out_band
 
 
-def extract_out_of_band(spectral: SpectralData, P: int):
+def extract_out_of_band(bins, P: int):
     """Out-of-band bins (where only the spike train contributes) together
     with their original DFT indices.
 
     With y = gamma - r, these bins equal minus the spike spectrum.
     """
-    _, out_band = band_partition(len(spectral), P)
-    return spectral.bins[out_band], out_band
-
-
-def build_toeplitz(z, M: int) -> np.ndarray:
-    """M x (M+1) Toeplitz matrix from 2M contiguous spectrum samples.
-
-    With z = (x[-M], ..., x[M-1]) relative to a chosen center, row i and
-    column j hold x[i-j]; noiseless M-spike data gives rank exactly M.
-    """
-    z = np.asarray(z, dtype=complex)
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if len(z) != 2 * M:
-        raise ValueError(f"need exactly 2M={2 * M} contiguous samples, got {len(z)}")
-    # z index i corresponds to relative lag i - M
-    T = np.empty((M, M + 1), dtype=complex)
-    for i in range(M):
-        for j in range(M + 1):
-            T[i, j] = z[i - j + M]
-    return T
+    bins = np.asarray(bins)
+    _, out_band = band_partition(len(bins), P)
+    return bins[out_band], out_band
 
 
 def build_toeplitz_tall(z, M: int) -> np.ndarray:
     """(L-M) x (M+1) Toeplitz system using every available spectrum sample.
 
-    Same diagonal layout as :func:`build_toeplitz`; the extra rows
-    over-determine the null space, which stabilizes the solve for clustered
-    spikes.
+    Row i and column j hold z[i - j + M]; noiseless M-spike data gives rank
+    exactly M. A block of exactly 2M samples gives the minimal M x (M+1)
+    system.
     """
     z = np.asarray(z, dtype=complex)
-    L = len(z)
     if M < 1:
         raise ValueError("M must be >= 1")
-    if L < 2 * M:
-        raise ValueError(f"need at least 2M={2 * M} samples, got {L}")
-    rows = L - M
-    T = np.empty((rows, M + 1), dtype=complex)
-    for i in range(rows):
-        for j in range(M + 1):
-            T[i, j] = z[i - j + M]
-    return T
+    if len(z) < 2 * M:
+        raise ValueError(f"need at least 2M={2 * M} samples, got {len(z)}")
+    return sliding_window_view(z, M + 1)[:, ::-1]
+
+
+def grid_support(z, L: int, M: int) -> np.ndarray:
+    """Grid indices of the M spikes behind the contiguous spectrum bins z.
+
+    z holds consecutive bins sum_m c_m xi_m^n of an L-point DFT, with
+    xi_m = exp(-2j pi k_m / L) for integer k_m. The right singular vectors
+    of the width-Q Hankel matrix of z beyond the first M span its noise
+    subspace, which is orthogonal to (1, xi, ..., xi^(Q-1)) exactly at the
+    spike roots. One length-L FFT of the noise vectors evaluates that on
+    every grid root at once, and the M grid indices with the least noise
+    power are the support: MUSIC restricted to the grid.
+
+    The width is Q = min(2M, max(M+1, len(z) - 2M)). At the sampling bound
+    (len(z) = 2M+1) that is M+1 taps, the annihilating filter's aperture;
+    where bins are plentiful it grows to 2M, which separates crowded folds
+    that M+1 taps cannot. The Hankel matrix never has fewer rows than
+    columns.
+
+    Returns the support as sorted integers in [0, L).
+    """
+    z = np.asarray(z, dtype=complex)
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    if len(z) < 2 * M + 1:
+        raise UndersampledError(f"need at least 2M+1={2 * M + 1} samples, got {len(z)}")
+    Q = min(2 * M, max(M + 1, len(z) - 2 * M))
+    _, _, vh = np.linalg.svd(sliding_window_view(z, Q), full_matrices=False)
+    # conj(v) . (xi^j)_j is the DFT of conj(v) at the root's grid index
+    noise = np.fft.fft(np.conj(vh[M:]), n=L, axis=1)
+    power = np.sum(np.abs(noise) ** 2, axis=0)
+    return np.sort(np.argpartition(power, M - 1)[:M])
 
 
 def annihilator(Tmat: np.ndarray):
@@ -178,25 +148,6 @@ def annihilator(Tmat: np.ndarray):
     return p, diagnostics
 
 
-def roots_and_instants(p: np.ndarray, T: float, L: int) -> ExponentialModel:
-    """Roots of the annihilating polynomial and the instants they encode.
-
-    The polynomial sum_n p[n] z^{-n} is rooted via the companion matrix of
-    z^M * P(z); instants follow from t = -T * angle(xi) / base_freq with the
-    angle branch fixed so t lies in [0, L*T).
-    """
-    p = np.asarray(p, dtype=complex)
-    M = len(p) - 1
-    if M < 1:
-        raise ValueError("annihilator must have at least 2 taps")
-    xi = np.roots(p)
-    if len(xi) != M or not np.all(np.isfinite(xi)):
-        raise ArithmeticError(f"root finding failed for taps {p!r}")
-    w0 = 2.0 * np.pi / L
-    t = (-np.angle(xi)) % (2.0 * np.pi) / w0 * T
-    return ExponentialModel(xi=xi, c=np.zeros(M), t=t)
-
-
 def matrix_pencil(z, M: int, Q: int | None = None) -> np.ndarray:
     """Estimate the M spike roots via the rank-truncated matrix pencil.
 
@@ -217,8 +168,8 @@ def matrix_pencil(z, M: int, Q: int | None = None) -> np.ndarray:
     if not M <= Q <= L_z - M:
         raise ValueError(f"pencil parameter Q={Q} outside [{M}, {L_z - M}]")
     rows = L_z - Q
-    Y0 = np.lib.stride_tricks.sliding_window_view(z[: rows + Q - 1], Q)[:rows]
-    Y1 = np.lib.stride_tricks.sliding_window_view(z[1:], Q)[:rows]
+    Y0 = sliding_window_view(z[: rows + Q - 1], Q)[:rows]
+    Y1 = sliding_window_view(z[1:], Q)[:rows]
     U, s, Vh = np.linalg.svd(Y0, full_matrices=False)
     Um = U[:, :M]
     Vm = Vh[:M].conj().T
@@ -267,7 +218,7 @@ def estimate_fold_count(z, max_M: int, drop: float = 1e-3) -> int:
     center = len(z) // 2
     lo = max(0, center - max_M)
     block = z[lo : lo + 2 * max_M]
-    s = np.linalg.svd(build_toeplitz(block, max_M), compute_uv=False)
+    s = np.linalg.svd(build_toeplitz_tall(block, max_M), compute_uv=False)
     for m in range(1, len(s)):
         if s[m] < drop * s[m - 1]:
             return m

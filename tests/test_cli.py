@@ -75,8 +75,8 @@ class TestRecover:
         out = tmp_path / "rec2"
         code = main(
             ["recover", "--input", str(capture), "--P", "6", "--M", "14",
-             "--lambda", "1", "--method", "both", "--estimator", "pencil",
-             "--diff-mode", "circular", "--calibrate", "mean", "--p-inflation", "0",
+             "--lambda", "1", "--method", "both",
+             "--calibrate", "mean", "--p-inflation", "0",
              "--lambda-grid", "0.55:1.45:0.01", "--output-dir", str(out)]
         )
         assert code == 0
@@ -109,6 +109,20 @@ class TestRecover:
              "--output-dir", str(tmp_path / "o")]
         )
         assert code == 4
+
+    def test_non_finite_capture_is_io_error(self, tmp_path, capsys):
+        capture = _simulate(tmp_path)
+        lines = capture.read_text().splitlines()
+        row = len(lines) - 5
+        cells = lines[row].split(",")
+        lines[row] = ",".join(cells[:2] + ["nan"])
+        capture.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["recover", "--input", str(capture), "--P", "6",
+             "--output-dir", str(tmp_path / "o")]
+        )
+        assert code == 4
+        assert f"line {row + 1}: non-finite" in capsys.readouterr().err
 
     def test_impossible_m_is_recovery_failure(self, tmp_path):
         capture = _simulate(tmp_path)

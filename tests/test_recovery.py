@@ -16,12 +16,17 @@ from modsample import (
     SampleVector,
     UndersampledError,
     UniformGrid,
+    annihilator,
     anti_difference,
     apply_residue,
+    build_toeplitz_tall,
     calibrated_mse,
+    dynamic_range,
+    extract_out_of_band,
     finite_difference,
     fold_ideal,
     fourier_prony_recover,
+    matrix_pencil,
     mse,
     optimize_lambda,
     round_beta,
@@ -126,9 +131,29 @@ class TestFourierPronyRecover:
     @pytest.mark.parametrize("estimator", ["prony", "pencil"])
     def test_ideal_folds_exact(self, estimator):
         trial = fixpoint_trial(seed=17, P=5, amplitude=4.5)
-        report = fourier_prony_recover(trial.y, trial.P, trial.M, estimator=estimator)
+        report = fourier_prony_recover(trial.y, trial.P, trial.M)
         err = calibrated_mse(report.gamma_hat.values, trial.gamma.values)
         assert err < 1e-12
+        # the reference root estimators, run on the same out-of-band bins,
+        # find the roots of the grid support
+        ybar = finite_difference(trial.y.values, 1, circular=True)
+        z, _ = extract_out_of_band(np.fft.fft(ybar), trial.P)
+        if estimator == "prony":
+            p, _ = annihilator(build_toeplitz_tall(z, trial.M))
+            roots = np.roots(p)
+        else:
+            roots = matrix_pencil(z, trial.M)
+        cross = np.abs(report.model.xi[:, None] - roots[None, :])
+        assert np.max(np.min(cross, axis=1)) < 1e-8
+
+    def test_crowded_folds_exact(self):
+        # 20 folds in 62 samples at the criterion-1 rate K = 2(P+M+1)+2;
+        # rooting the M+1-tap annihilator returned MSE 31 here without error
+        trial = fixpoint_trial(seed=[112, 8], P=9, amplitude=3.541627058382767)
+        assert (trial.grid.K, trial.M) == (62, 20)
+        report = fourier_prony_recover(trial.y, trial.P, trial.M)
+        err = calibrated_mse(report.gamma_hat.values, trial.gamma.values)
+        assert err <= 1e-10 * dynamic_range(trial.gamma) ** 2
 
     def test_threshold_agnostic(self):
         # identical code path regardless of the (unknown) folding threshold:
@@ -166,17 +191,6 @@ class TestFourierPronyRecover:
             np.mean(trial.gamma.values), abs=1e-9
         )
 
-    def test_literal_mode_approximate_recovery(self):
-        # dropping the wrap sample leaks the bandlimited part into the
-        # out-of-band bins, so literal mode is approximate rather than exact;
-        # with few folds and generous oversampling it is still accurate
-        trial = fixpoint_trial(seed=5, P=3, amplitude=1.6, k_factor=16)
-        report = fourier_prony_recover(trial.y, trial.P, trial.M, mode="literal")
-        err = calibrated_mse(report.gamma_hat.values, trial.gamma.values)
-        assert report.diagnostics["mode"] == "literal"
-        assert err < 1e-4
-        assert err < calibrated_mse(trial.y.values, trial.gamma.values)
-
     def test_undersampled_rejected(self):
         y = _sv(np.zeros(8))
         with pytest.raises(UndersampledError):
@@ -188,8 +202,10 @@ class TestFourierPronyRecover:
 
     def test_error_carries_step(self):
         trial = fixpoint_trial(seed=17, P=5, amplitude=4.5)
+        values = trial.y.values.copy()
+        values[3] = np.nan
         with pytest.raises(RecoveryError) as err:
-            fourier_prony_recover(trial.y, trial.P, trial.M, estimator="bogus")
+            fourier_prony_recover(trial.y.with_values(values), trial.P, trial.M)
         assert err.value.step == 4
 
 

@@ -1,10 +1,9 @@
-"""Unit tests for the spectral module: DFT plumbing, band partitioning,
-Toeplitz/annihilator machinery, matrix pencil and amplitude fitting."""
+"""Unit tests for the spectral module: band partitioning, the on-grid spike
+support, Toeplitz/annihilator machinery, matrix pencil and amplitude
+fitting."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from modsample import (
     DegenerateRootsError,
@@ -14,19 +13,17 @@ from modsample import (
     amplitudes_ls,
     annihilator,
     band_partition,
-    build_toeplitz,
     build_toeplitz_tall,
     estimate_fold_count,
     extract_out_of_band,
     finite_difference,
-    forward_dft,
-    inverse_dft,
+    fourier_prony_recover,
+    grid_support,
     matrix_pencil,
-    roots_and_instants,
     sample,
     synthesize_random,
 )
-from modsample.spectral import CIRCULAR, ExponentialModel, SpectralData
+from modsample.spectral import ExponentialModel
 
 
 def spike_spectrum(k_indices, amplitudes, L, P):
@@ -36,40 +33,6 @@ def spike_spectrum(k_indices, amplitudes, L, P):
     xi = np.exp(-2j * np.pi * k / L)
     n = np.arange(P + 1, L - P)
     return (xi[None, :] ** n[:, None]) @ c, n, xi
-
-
-class TestForwardDft:
-    def test_delta(self):
-        S = forward_dft(np.array([1.0, 0.0, 0.0, 0.0]), CIRCULAR)
-        np.testing.assert_allclose(S.bins, np.ones(4), atol=1e-12)
-
-    def test_constant(self):
-        S = forward_dft(np.full(6, 2.0), CIRCULAR)
-        expected = np.zeros(6, dtype=complex)
-        expected[0] = 12.0
-        np.testing.assert_allclose(S.bins, expected, atol=1e-12)
-
-    @given(
-        st.lists(
-            st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
-            min_size=1,
-            max_size=32,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip(self, values):
-        x = np.asarray(values)
-        back = inverse_dft(forward_dft(x, CIRCULAR))
-        np.testing.assert_allclose(back.real, x, atol=1e-10)
-        np.testing.assert_allclose(back.imag, np.zeros_like(x), atol=1e-10)
-
-    def test_base_freq(self):
-        S = forward_dft(np.zeros(10), CIRCULAR)
-        assert S.base_freq * len(S) == pytest.approx(2.0 * np.pi, abs=1e-12)
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            SpectralData(bins=np.zeros(4), mode="bogus")
 
 
 class TestBandPartition:
@@ -99,38 +62,36 @@ class TestExtractOutOfBand:
     def test_bandlimited_confinement(self):
         g = synthesize_random(P=3, tau=1.0, amplitude=2.0, seed=4)
         sv = sample(g, UniformGrid(T=1.0 / 32, K=32))
-        ybar = finite_difference(sv.values, 1, circular=True)
-        S = forward_dft(ybar, CIRCULAR)
-        z, _ = extract_out_of_band(S, 3)
-        assert np.max(np.abs(z)) <= 1e-9 * np.max(np.abs(S.bins))
+        bins = np.fft.fft(finite_difference(sv.values, 1, circular=True))
+        z, _ = extract_out_of_band(bins, 3)
+        assert np.max(np.abs(z)) <= 1e-9 * np.max(np.abs(bins))
 
     def test_single_spike_closed_form(self):
         L, P, k0, c = 32, 2, 11, 1.7
         spike = np.zeros(L)
         spike[k0] = c
-        S = forward_dft(spike, CIRCULAR)
-        z, n = extract_out_of_band(S, P)
+        z, n = extract_out_of_band(np.fft.fft(spike), P)
         np.testing.assert_allclose(
             z, c * np.exp(-2j * np.pi * n * k0 / L), atol=1e-12
         )
 
     def test_p_zero(self):
-        S = forward_dft(np.arange(5.0), CIRCULAR)
-        z, n = extract_out_of_band(S, 0)
+        bins = np.fft.fft(np.arange(5.0))
+        z, n = extract_out_of_band(bins, 0)
         np.testing.assert_array_equal(n, [1, 2, 3, 4])
-        np.testing.assert_allclose(z, S.bins[1:])
+        np.testing.assert_allclose(z, bins[1:])
 
 
 class TestToeplitz:
     def test_minimal_layout(self):
         a, b = 3.0 + 1j, -2.0
-        # z holds relative lags (-1, 0)
-        T = build_toeplitz(np.array([b, a]), 1)
+        # a 2M-sample block, relative lags (-1, 0), gives the M x (M+1) system
+        T = build_toeplitz_tall(np.array([b, a]), 1)
         np.testing.assert_array_equal(T, np.array([[a, b]]))
 
     def test_constant_diagonals(self):
         z = np.arange(1.0, 5.0)  # lags -2..1 for M=2
-        T = build_toeplitz(z, 2)
+        T = build_toeplitz_tall(z, 2)
         assert T.shape == (2, 3)
         for i in range(2):
             for j in range(3):
@@ -146,9 +107,9 @@ class TestToeplitz:
 
     def test_length_checks(self):
         with pytest.raises(ValueError):
-            build_toeplitz(np.zeros(3), 2)
-        with pytest.raises(ValueError):
             build_toeplitz_tall(np.zeros(3), 2)
+        with pytest.raises(ValueError):
+            build_toeplitz_tall(np.zeros(4), 0)
 
     def test_rank_equals_spike_count(self):
         z, _, _ = spike_spectrum([5, 9, 20], [1.0, -2.0, 0.7], 64, 2)
@@ -189,32 +150,64 @@ class TestAnnihilator:
             annihilator(np.zeros((1, 3)))
 
 
+class TestGridSupport:
+    def test_planted_support(self):
+        z, _, _ = spike_spectrum([5, 17, 30], [1.0, -1.5, 0.3], 64, 2)
+        np.testing.assert_array_equal(grid_support(z, 64, 3), [5, 17, 30])
+
+    def test_adjacent_spikes_at_the_sampling_bound(self):
+        # L = 2(P+M+1) leaves len(z) = 2M+1 bins: the width falls to M+1 taps
+        L, P = 12, 3
+        z, _, _ = spike_spectrum([7, 8], [0.8, -1.9], L, P)
+        assert len(z) == 5
+        np.testing.assert_array_equal(grid_support(z, L, 2), [7, 8])
+
+    def test_too_few_bins(self):
+        z, _, _ = spike_spectrum([5, 17], [1.0, 1.0], 32, 2)
+        with pytest.raises(UndersampledError):
+            grid_support(z[:4], 32, 2)
+
+
+def _spike_recovery(k_indices, amplitudes, L, T):
+    """Recovery report for modulo-free samples whose residue jumps by
+    `amplitudes` right after the samples `k_indices` (the last jump closes
+    the period, so the differenced residue has exactly these spikes)."""
+    rbar = np.zeros(L)
+    rbar[k_indices] = amplitudes
+    residue = np.concatenate([[0.0], np.cumsum(rbar)[:-1]])
+    y = SampleVector(values=-residue, grid=UniformGrid(T=T, K=L))
+    return fourier_prony_recover(y, 0, len(k_indices))
+
+
 class TestRootsAndInstants:
+    """Roots and instants of the recovered model: xi = exp(-2j pi k / L)
+    and t = k * T, sorted by instant."""
+
     def test_direct_inversion(self):
         L, T = 100, 1e-3
-        xi = np.exp(-2j * np.pi * 5 / L)
-        # p[0] + p[1]/z vanishes at z = xi when p = (-1/xi, 1)
-        model = roots_and_instants(np.array([-1.0 / xi, 1.0]), T, L)
+        model = _spike_recovery([5, 70], [1.0, -1.0], L, T).model
         assert model.t[0] == pytest.approx(5e-3, abs=1e-12)
+        assert model.xi[0] == pytest.approx(np.exp(-2j * np.pi * 5 / L), abs=1e-12)
 
     def test_minus_j_quarter_period(self):
-        # p = (-j, 1) annihilates xi = -j = e^{-j*pi/2}; with the [0, 2pi)
-        # branch the instant is a quarter of the L*T span
+        # a spike a quarter of the L*T span in has root xi = -j = e^{-j*pi/2}
         L, T = 64, 0.5
-        model = roots_and_instants(np.array([-1j, 1.0]), T, L)
+        model = _spike_recovery([16, 40], [2.0, -2.0], L, T).model
         assert model.xi[0] == pytest.approx(-1j, abs=1e-12)
         assert model.t[0] == pytest.approx(0.25 * L * T, abs=1e-12)
 
     def test_conjugate_pair_sorted(self):
-        xi = np.array([np.exp(-2j * np.pi * 10 / 64), np.exp(2j * np.pi * 10 / 64)])
-        p = np.array([xi[0] * xi[1], -(xi[0] + xi[1]), 1.0])
-        model = roots_and_instants(p, 1.0, 64)
+        model = _spike_recovery([54, 10], [1.5, -1.5], 64, 1.0).model
         assert model.t[0] < model.t[1]
         np.testing.assert_allclose(model.t, [10.0, 54.0], atol=1e-9)
+        np.testing.assert_allclose(model.xi[0], np.conj(model.xi[1]), atol=1e-12)
+        np.testing.assert_allclose(model.c, [-1.5, 1.5], atol=1e-9)
 
     def test_too_few_taps(self):
+        # M = 0 leaves a Hankel matrix with no noise subspace to search
+        z, _, _ = spike_spectrum([3], [1.0], 8, 1)
         with pytest.raises(ValueError):
-            roots_and_instants(np.array([1.0]), 1.0, 8)
+            grid_support(z, 8, 0)
 
 
 class TestMatrixPencil:
@@ -284,12 +277,6 @@ class TestExponentialModel:
         m = ExponentialModel(xi=[1.0, 1.0j], c=[1.0, 2.0], t=[0.7, 0.2])
         np.testing.assert_allclose(m.t, [0.2, 0.7])
         np.testing.assert_allclose(m.c, [2.0, 1.0])
-
-    def test_off_unit_circle_flag(self):
-        ok = ExponentialModel(xi=[np.exp(1j)], c=[1.0], t=[0.0])
-        bad = ExponentialModel(xi=[1.5 + 0j], c=[1.0], t=[0.0])
-        assert not ok.off_unit_circle()
-        assert bad.off_unit_circle()
 
 
 class TestEstimateFoldCount:
