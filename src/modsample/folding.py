@@ -47,10 +47,10 @@ class ResidueSpec:
 
     def step_values(self, times: np.ndarray) -> np.ndarray:
         """r(t) = sum of jumps with t_m <= t, evaluated at the given times."""
-        r = np.zeros(len(times))
-        for t_m, c_m in self.events:
-            r[times >= t_m - 1e-12 * self.tau] += c_m
-        return r
+        # levels[n] is the sum of the first n jumps, added in event order
+        levels = np.cumsum(np.concatenate(([0.0], self.amplitudes())))
+        n = np.searchsorted(self.instants() - 1e-12 * self.tau, times, side="right")
+        return levels[n]
 
 
 @dataclass(frozen=True)
@@ -120,14 +120,9 @@ def residue_spec_from_samples(residue: SampleVector, tau: float) -> ResidueSpec:
     """Convert residue samples to jump events at the grid instants where the
     step function changes."""
     r = residue.values
-    T = residue.grid.T
-    events = []
-    prev = 0.0
-    for k in range(len(r)):
-        jump = r[k] - prev
-        if jump != 0.0:
-            events.append((k * T, jump))
-        prev = r[k]
+    jumps = r - np.concatenate(([0.0], r[:-1]))  # r before the first sample is 0
+    k = jumps.nonzero()[0]
+    events = zip((k * residue.grid.T).tolist(), jumps[k].tolist())
     return ResidueSpec(events=tuple(events), tau=tau)
 
 

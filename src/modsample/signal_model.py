@@ -113,7 +113,11 @@ def synthesize_random(P: int, tau: float, amplitude: float, seed) -> TrigPolynom
     Coefficients for p = 1..P are complex Gaussian, the DC term is real
     Gaussian, negative harmonics follow by conjugation, and everything is
     rescaled so the dense-grid maximum of |g| equals `amplitude` (1% accurate
-    by construction of the estimation grid).
+    by construction of the estimation grid). The dense grid is the
+    N = 16384 points k*tau/N, evaluated with one inverse FFT of the
+    coefficients placed at bins p mod N; for 2P+1 > N, harmonics p and
+    p + N would share a bin and the peak would be that of the aliased
+    samples.
     """
     if P < 0:
         raise ValueError(f"P must be nonnegative, got {P}")
@@ -131,8 +135,7 @@ def synthesize_random(P: int, tau: float, amplitude: float, seed) -> TrigPolynom
     if not np.any(np.abs(coeffs) > 0):  # pathological draw, keep it valid
         coeffs[P] = 1.0
     g = TrigPolynomial(tau=tau, P=P, coeffs=coeffs)
-    t = np.linspace(0.0, tau, _MAX_EST_GRID, endpoint=False)
-    peak = np.max(np.abs(evaluate(g, t)))
+    peak = np.max(np.abs(_on_grid(g, _MAX_EST_GRID)))
     return TrigPolynomial(tau=tau, P=P, coeffs=coeffs * (amplitude / peak))
 
 
@@ -142,23 +145,42 @@ def evaluate(g: TrigPolynomial, t) -> np.ndarray | float:
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     p = np.arange(-g.P, g.P + 1)
     phases = np.exp(1j * g.omega0 * np.outer(t_arr, p))
-    vals = phases @ g.coeffs
+    out = _real_part(g, phases @ g.coeffs)
+    return out if np.ndim(t) else float(out[0])
+
+
+def _on_grid(g: TrigPolynomial, N: int) -> np.ndarray:
+    """g at the N points k*tau/N, k = 0..N-1, by one inverse FFT of the
+    coefficients placed at bins p mod N; coefficients that share a bin
+    (N < 2P+1) add, as sampling at that rate aliases them."""
+    spec = np.zeros(N, dtype=complex)
+    np.add.at(spec, np.arange(-g.P, g.P + 1) % N, g.coeffs)
+    return _real_part(g, np.fft.ifft(spec) * N)
+
+
+def _real_part(g: TrigPolynomial, vals: np.ndarray) -> np.ndarray:
+    """Real part of values of g, after checking the imaginary part is
+    roundoff."""
     im_bound = _REAL_RTOL * np.abs(vals.real) + _REAL_ATOL
     # allow for accumulated roundoff on large coefficient sums
     im_bound += _REAL_RTOL * np.sum(np.abs(g.coeffs))
     if np.any(np.abs(vals.imag) > im_bound):
         raise AssertionError("evaluation produced a non-negligible imaginary part")
-    out = vals.real
-    return out if np.ndim(t) else float(out[0])
+    return vals.real
 
 
 def sample(g: TrigPolynomial, grid: UniformGrid) -> SampleVector:
-    """Sample one period of g on a K-point grid with K*T == tau."""
+    """Sample one period of g on a K-point grid with K*T == tau.
+
+    The samples g(k*tau/K) come from one inverse FFT of the coefficients
+    placed at bins p mod K. With K < 2P+1, harmonics p and p + K fall in
+    the same bin and add, which is the aliasing of sampling at that rate.
+    """
     if abs(grid.span - g.tau) > 1e-9 * g.tau:
         raise ValueError(
             f"grid span K*T={grid.span!r} does not match the period tau={g.tau!r}"
         )
-    return SampleVector(values=evaluate(g, grid.times), grid=grid)
+    return SampleVector(values=_on_grid(g, grid.K), grid=grid)
 
 
 def interpolate(samples: SampleVector, P: int, t_query) -> np.ndarray | float:
@@ -171,15 +193,10 @@ def interpolate(samples: SampleVector, P: int, t_query) -> np.ndarray | float:
     K = samples.grid.K
     if K < 2 * P + 1:
         raise UndersampledError(f"K={K} < 2P+1={2 * P + 1} samples")
-    bins = np.fft.fft(samples.values)
-    coeffs = np.zeros(2 * P + 1, dtype=complex)
-    coeffs[P] = bins[0] / K
-    for p in range(1, P + 1):
-        coeffs[P + p] = bins[p] / K
-        coeffs[P - p] = bins[K - p] / K
+    p_idx = np.arange(-P, P + 1)
+    coeffs = np.fft.fft(samples.values)[p_idx % K] / K
     tau = samples.grid.span
     t_arr = np.atleast_1d(np.asarray(t_query, dtype=float))
-    p_idx = np.arange(-P, P + 1)
     vals = np.exp(2j * np.pi / tau * np.outer(t_arr, p_idx)) @ coeffs
     out = vals.real
     return out if np.ndim(t_query) else float(out[0])

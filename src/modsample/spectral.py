@@ -192,12 +192,13 @@ def amplitudes_ls(z, n_idx, xi) -> tuple[np.ndarray, float]:
         raise ValueError("need at least one root")
     if len(z) < M:
         raise UndersampledError(f"need at least M={M} equations, got {len(z)}")
-    for a in range(M):
-        for b in range(a + 1, M):
-            if abs(xi[a] - xi[b]) < 1e-10:
-                raise DegenerateRootsError(
-                    f"roots {a} and {b} coincide within 1e-10: {xi[a]!r}"
-                )
+    close = np.triu(np.abs(xi[:, None] - xi[None, :]) < 1e-10, k=1)
+    if close.any():
+        # argwhere lists pairs in row-major order, so this is the first pair
+        a, b = np.argwhere(close)[0]
+        raise DegenerateRootsError(
+            f"roots {a} and {b} coincide within 1e-10: {xi[a]!r}"
+        )
     V = xi[None, :] ** n_idx[:, None]
     A = np.vstack([V.real, V.imag])
     b = np.concatenate([z.real, z.imag])

@@ -123,6 +123,68 @@ class TestResidueSpec:
         )
 
 
+def _step_values_loop(spec, times):
+    """Reference: one masked add per event, in event order."""
+    r = np.zeros(len(times))
+    for t_m, c_m in spec.events:
+        r[times >= t_m - 1e-12 * spec.tau] += c_m
+    return r
+
+
+def _residue_events_loop(r, T):
+    """Reference: one event per grid index where the step changes."""
+    events = []
+    prev = 0.0
+    for k in range(len(r)):
+        jump = r[k] - prev
+        if jump != 0.0:
+            events.append((k * T, jump))
+        prev = r[k]
+    return tuple(events)
+
+
+class TestResidueBookkeeping:
+    """The vectorized step evaluation and jump extraction reproduce the
+    per-event loops bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_step_values_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        K, T = 257, 1.0 / 257
+        k = np.sort(rng.choice(K, size=int(rng.integers(1, 40)), replace=False))
+        spec = ResidueSpec(
+            events=tuple(zip(k * T, rng.normal(scale=3.0, size=len(k)))), tau=1.0
+        )
+        on_grid = np.arange(K) * T
+        off_grid_unsorted = rng.uniform(-0.1, 1.1, size=300)
+        at_tolerance_edge = spec.instants() - 1e-12 * spec.tau
+        for times in (on_grid, off_grid_unsorted, on_grid[::-1], at_tolerance_edge):
+            expected = _step_values_loop(spec, times)
+            got = spec.step_values(times)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_step_values_empty_spec(self):
+        spec = ResidueSpec(events=(), tau=2.0)
+        times = np.array([1.5, 0.0, 0.7])
+        assert spec.step_values(times).tobytes() == _step_values_loop(spec, times).tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_residue_spec_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        K = 200
+        r = 2.0 * np.cumsum(rng.choice([-1.0, 0.0, 0.0, 1.0], size=K))
+        r[0] = 6.0  # jump at k = 0
+        sv = SampleVector(values=r, grid=UniformGrid(T=0.01, K=K))
+        spec = residue_spec_from_samples(sv, 2.0)
+        expected = _residue_events_loop(r, 0.01)
+        assert spec.events == expected
+        assert spec.events[0] == (0.0, 6.0)
+
+    def test_residue_spec_from_flat_residue_is_empty(self):
+        spec = residue_spec_from_samples(_sv(np.zeros(7)), 7.0)
+        assert spec.events == () == _residue_events_loop(np.zeros(7), 1.0)
+
+
 class TestApplyResidue:
     def test_empty_spec_identity(self):
         gamma = _sv([1.0, 2.0, 3.0])

@@ -18,7 +18,7 @@ from modsample import (
     sample,
     synthesize_random,
 )
-from modsample.signal_model import saturation_count
+from modsample.signal_model import _MAX_EST_GRID, saturation_count
 
 
 def cosine_signal(tau=1.0):
@@ -57,6 +57,13 @@ class TestSynthesizeRandom:
         a = synthesize_random(P=4, tau=1.0, amplitude=3.0, seed=123)
         b = synthesize_random(P=4, tau=1.0, amplitude=3.0, seed=123)
         np.testing.assert_array_equal(a.coeffs, b.coeffs)
+
+    @pytest.mark.parametrize("P", [0, 3, 15])
+    def test_peak_matches_dense_evaluate(self, P):
+        g = synthesize_random(P=P, tau=2.0, amplitude=5.0, seed=11)
+        t = np.arange(_MAX_EST_GRID) * (2.0 / _MAX_EST_GRID)
+        dense_peak = np.max(np.abs(evaluate(g, t)))
+        assert abs(dense_peak - 5.0) <= 1e-12 * 5.0
 
     def test_argument_errors(self):
         with pytest.raises(ValueError):
@@ -104,6 +111,22 @@ class TestSample:
     def test_grid_mismatch(self):
         with pytest.raises(ValueError):
             sample(cosine_signal(), UniformGrid(T=0.25, K=5))
+
+    @pytest.mark.parametrize("P", [0, 1, 7, 30])
+    @pytest.mark.parametrize("K", ["3", "2P+1", "64", "4097"])
+    def test_matches_evaluate(self, P, K):
+        # K = 3 < 2P+1 aliases harmonics onto shared grid values
+        K = 2 * P + 1 if K == "2P+1" else int(K)
+        g = synthesize_random(P=P, tau=1.5, amplitude=4.0, seed=P)
+        grid = UniformGrid(T=1.5 / K, K=K)
+        err = np.max(np.abs(sample(g, grid).values - evaluate(g, grid.times)))
+        assert err <= 1e-12 * np.sum(np.abs(g.coeffs))
+
+    def test_imaginary_part_guard(self):
+        g = cosine_signal()
+        object.__setattr__(g, "coeffs", np.array([0.5, 0.0, 0.5 + 0.5j]))
+        with pytest.raises(AssertionError, match="imaginary part"):
+            sample(g, UniformGrid(T=0.25, K=4))
 
 
 class TestInterpolate:

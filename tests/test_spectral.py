@@ -250,6 +250,13 @@ class TestAmplitudesLs:
         xi = np.array([1.0 + 0j, 1.0 + 0j])
         with pytest.raises(DegenerateRootsError):
             amplitudes_ls(np.ones(8, dtype=complex), np.arange(8), xi)
+        xi = np.array([1.0 + 0j, -1.0 + 0j, 1.0 + 0j])
+        with pytest.raises(DegenerateRootsError, match="roots 0 and 2"):
+            amplitudes_ls(np.ones(8, dtype=complex), np.arange(8), xi)
+        # two coinciding pairs: the first in row-major order is named
+        xi = np.array([1.0, 1j, 1j, 1.0])
+        with pytest.raises(DegenerateRootsError, match="roots 0 and 3"):
+            amplitudes_ls(np.ones(8, dtype=complex), np.arange(8), xi)
 
     def test_noise_stability(self):
         z, n, xi = spike_spectrum([6, 25], [1.25, -0.75], 64, 2)
