@@ -50,13 +50,11 @@ def main(argv=None) -> int:
             threshold=1.0, output_dir=out,
         )
         m = run_experiment(cfg)
-        oversampling = float(m["T_FD"]) / float(m["T"])
-        mse_us = m.get("MSE_US") or "failed"
+        mse_us = "failed" if m.get("MSE_US") is None else f"{m['MSE_US']:.2e}"
         print(
             f"{label:<24} {m['P_used']:>3} {m['M']:>4} {m['K']:>5} "
-            f"{oversampling:>7.2f} {float(m['DR_ratio']):>9.2f} "
-            f"{float(m['MSE_FD']):>10.2e} "
-            f"{mse_us if mse_us == 'failed' else f'{float(mse_us):.2e}':>10}"
+            f"{m['T_FD'] / m['T']:>7.2f} {m['DR_ratio']:>9.2f} "
+            f"{m['MSE_FD']:>10.2e} {mse_us:>10}"
         )
     return 0
 

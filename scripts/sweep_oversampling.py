@@ -57,7 +57,7 @@ def main(argv=None) -> int:
                   f"{'error: ' + row['error'][:50]}")
         else:
             print(f"{int(row['value']):>6} {row['value'] / K_min:>8.2f} "
-                  f"{float(row['MSE_FD']):>12.2e}")
+                  f"{row['MSE_FD']:>12.2e}")
     return 0
 
 

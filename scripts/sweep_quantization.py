@@ -36,7 +36,7 @@ def main(argv=None) -> int:
         metrics = run_experiment(cfg)
         q = 2.0 / 2**bits if bits is not None else 0.0
         label = str(bits) if bits is not None else "none"
-        print(f"{label:>5} {q:>10.2e} {float(metrics['MSE_FD']):>12.2e}")
+        print(f"{label:>5} {q:>10.2e} {metrics['MSE_FD']:>12.2e}")
     return 0
 
 

@@ -10,7 +10,6 @@ from .exceptions import (
     UndersampledError,
 )
 from .folding import (
-    ModuloConfig,
     NonIdealityConfig,
     ResidueSpec,
     apply_residue,
@@ -49,7 +48,6 @@ from .spectral import (
     annihilator,
     band_partition,
     build_toeplitz_tall,
-    estimate_fold_count,
     extract_out_of_band,
     grid_support,
     matrix_pencil,

@@ -14,11 +14,11 @@ from . import folding, harness, recovery, signal_model
 from .exceptions import CaptureFormatError, ModsampleError
 
 
-def _add_grid_args(p, require_signal=False):
+def _add_grid_args(p):
     p.add_argument("--tau", type=float, help="signal period in seconds")
     p.add_argument("--T", type=float, help="sampling step in seconds")
     p.add_argument("--K", type=int, help="sample count over one period")
-    p.add_argument("--P", type=int, required=require_signal, help="bandwidth index")
+    p.add_argument("--P", type=int, required=True, help="bandwidth index")
 
 
 def _add_recovery_args(p):
@@ -53,14 +53,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="emit a synthetic capture CSV")
-    _add_grid_args(p_sim, require_signal=True)
+    _add_grid_args(p_sim)
     p_sim.add_argument("--lambda", dest="threshold", type=float, required=True)
     _add_synthetic_args(p_sim)
     p_sim.add_argument("--output-dir", required=True)
 
-    p_rec = sub.add_parser("recover", help="reconstruct a capture file")
+    p_rec = sub.add_parser(
+        "recover", help="reconstruct a capture file; its time column fixes T and K"
+    )
     p_rec.add_argument("--input", required=True, help="capture CSV path")
-    _add_grid_args(p_rec, require_signal=True)
+    p_rec.add_argument("--P", type=int, required=True, help="bandwidth index")
     p_rec.add_argument("--lambda", dest="threshold", type=float, help="folding threshold")
     _add_recovery_args(p_rec)
     p_rec.add_argument("--p-inflation", type=float, default=0.2,
@@ -68,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--output-dir", required=True)
 
     p_sweep = sub.add_parser("sweep", help="sweep a config field over values")
-    _add_grid_args(p_sweep, require_signal=True)
+    _add_grid_args(p_sweep)
     p_sweep.add_argument("--lambda", dest="threshold", type=float, required=True)
     _add_synthetic_args(p_sweep)
     _add_recovery_args(p_sweep)
@@ -137,6 +139,7 @@ def _cmd_simulate(args) -> int:
     src = _synthetic_source(args, tau)
     grid = signal_model.UniformGrid(T=T, K=K)
     gamma, y, spec = harness.synthesize_measurement(src, grid)
+    folds = harness.realized_fold_count(spec, grid)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "capture.csv"
@@ -146,30 +149,24 @@ def _cmd_simulate(args) -> int:
         y.values,
         truth=gamma.values,
         metadata={
-            "tau": repr(tau),
+            "tau": tau,
             "P": src.P,
             "seed": src.seed,
-            "lambda": repr(src.threshold),
-            "folds": harness.realized_fold_count(spec, grid),
+            "lambda": src.threshold,
+            "folds": folds,
         },
     )
-    print(f"wrote {path} (K={K}, folds={harness.realized_fold_count(spec, grid)})")
+    print(f"wrote {path} (K={K}, folds={folds})")
     return 0
 
 
 def _cmd_recover(args) -> int:
-    tau, T, K, capture = _resolve_grid_from_capture(args)
-    M = args.M
-    if M is None and "folds" in capture.metadata:
-        M = int(capture.metadata["folds"])
     cfg = harness.ExperimentConfig(
-        T=T,
-        K=K,
         method=args.method,
         capture_path=args.input,
         P_used=args.P,
         p_inflation=args.p_inflation,
-        M=M,
+        M=args.M,
         threshold=args.threshold,
         beta_g=args.beta_g,
         lambda_grid=_parse_lambda_grid(args.lambda_grid),
@@ -178,18 +175,10 @@ def _cmd_recover(args) -> int:
     )
     metrics = harness.run_experiment(cfg)
     for key in ("MSE_FD", "MSE_US", "MSE_USopt", "lambda_opt", "DR_ratio"):
-        if key in metrics and metrics[key]:
+        if metrics.get(key) is not None:
             print(f"{key} = {metrics[key]}")
     print(f"outputs in {args.output_dir}")
     return 0
-
-
-def _resolve_grid_from_capture(args):
-    capture = harness.load_capture(args.input)
-    T = args.T if args.T is not None else capture.T
-    K = args.K if args.K is not None else capture.K
-    tau = args.tau if args.tau is not None else float(capture.metadata["tau"])
-    return tau, T, K, capture
 
 
 def _cmd_sweep(args) -> int:

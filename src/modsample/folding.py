@@ -3,8 +3,7 @@ finite differences and the baseline order-selection rule."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,18 +71,6 @@ class NonIdealityConfig:
             raise ValueError("spurious_rate must be >= 0")
         if self.spurious_amp_max < 0:
             raise ValueError("spurious_amp_max must be >= 0")
-
-
-@dataclass(frozen=True)
-class ModuloConfig:
-    """Folding threshold plus optional non-ideality model."""
-
-    threshold: float
-    nonideality: Optional[NonIdealityConfig] = None
-
-    def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
 
 
 def centered_modulo(x, threshold: float):

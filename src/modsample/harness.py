@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import folding, recovery, signal_model
-from .exceptions import CaptureFormatError, ModsampleError, RecoveryError
+from .exceptions import CaptureFormatError, ModsampleError
 
 _GRID_UNIFORMITY_RTOL = 1e-6
 
@@ -32,10 +32,11 @@ class SyntheticSource:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved description of one experiment run."""
+    """Description of one experiment run. A capture fixes the grid, so T and
+    K are required for synthetic sources only."""
 
-    T: float
-    K: int
+    T: Optional[float] = None
+    K: Optional[int] = None
     method: str = "fp"  # fp | usf | both
     source: Optional[SyntheticSource] = None
     capture_path: Optional[str] = None
@@ -51,6 +52,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.source is None) == (self.capture_path is None):
             raise ValueError("exactly one of source and capture_path is required")
+        if self.source is not None and (self.T is None or self.K is None):
+            raise ValueError("T and K are required for synthetic sources")
         if self.method not in ("fp", "usf", "both"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.calibrate not in ("mean", "none"):
@@ -76,6 +79,14 @@ class CaptureFile:
         return len(self.time)
 
 
+# metadata keys that recovery reads: (parse, valid, what the value must be)
+_METADATA_RULES = {
+    "tau": (float, lambda v: math.isfinite(v) and v > 0, "a finite positive number"),
+    "dc_offset": (float, math.isfinite, "a finite number"),
+    "folds": (int, lambda v: v >= 0, "a nonnegative integer"),
+}
+
+
 def load_capture(path) -> CaptureFile:
     """Parse a capture CSV.
 
@@ -83,7 +94,8 @@ def load_capture(path) -> CaptureFile:
     kept as metadata), then a ``time,truth,modulo`` or ``time,modulo`` header
     and rows of finite numbers. Timestamps must be uniformly spaced to
     within 1e-6 relative. A ``dc_offset`` metadata value is subtracted from
-    the modulo column.
+    the modulo column. Malformed ``tau``, ``dc_offset`` or ``folds`` values
+    raise :class:`CaptureFormatError` naming their line.
     """
     path = Path(path)
     metadata: dict = {}
@@ -98,7 +110,18 @@ def load_capture(path) -> CaptureFile:
                 body = line.lstrip("#").strip()
                 if "=" in body:
                     key, _, value = body.partition("=")
-                    metadata[key.strip()] = value.strip()
+                    key, value = key.strip(), value.strip()
+                    if key in _METADATA_RULES:
+                        parse, valid, what = _METADATA_RULES[key]
+                        try:
+                            ok = valid(parse(value))
+                        except ValueError:
+                            ok = False
+                        if not ok:
+                            raise CaptureFormatError(
+                                f"{key} must be {what}, got {value!r}", line=lineno
+                            )
+                    metadata[key] = value
                 continue
             if header is None:
                 header = [c.strip().lower() for c in line.split(",")]
@@ -138,18 +161,25 @@ def load_capture(path) -> CaptureFile:
 
 def write_capture(path, time, modulo, truth=None, metadata=None):
     """Emit a capture CSV readable by :func:`load_capture`."""
-    path = Path(path)
-    with path.open("w") as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key} = {value}\n")
-        if truth is not None:
-            fh.write("time,truth,modulo\n")
-            for t, g, y in zip(time, truth, modulo):
-                fh.write(f"{float(t)!r},{float(g)!r},{float(y)!r}\n")
-        else:
-            fh.write("time,modulo\n")
-            for t, y in zip(time, modulo):
-                fh.write(f"{float(t)!r},{float(y)!r}\n")
+    columns = {"time": time, "truth": truth, "modulo": modulo}
+    if truth is None:
+        del columns["truth"]
+    _write_table(path, columns, metadata)
+
+
+def _write_table(path, columns: dict, metadata=None):
+    """Write ``# key = value`` comments, a header of the column names, then
+    one row per sample. Integer columns are written as integers and the
+    rest with 17 significant digits, which round-trips every float64; a
+    column given as None is left empty."""
+    lines = [f"# {key} = {_fmt(value)}" for key, value in (metadata or {}).items()]
+    lines.append(",".join(columns))
+    fmt = ",".join(
+        "" if col is None else "%d" if np.asarray(col).dtype.kind in "iu" else "%.17g"
+        for col in columns.values()
+    )
+    data = np.column_stack([col for col in columns.values() if col is not None])
+    np.savetxt(path, data, fmt=fmt, delimiter=",", header="\n".join(lines), comments="")
 
 
 def synthesize_measurement(src: SyntheticSource, grid: signal_model.UniformGrid):
@@ -182,36 +212,33 @@ def realized_fold_count(spec: folding.ResidueSpec, grid: signal_model.UniformGri
 
 
 def _fmt(value) -> str:
+    """Text of one written value: floats round-trip, None is empty."""
+    if value is None:
+        return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
-def _flatten_config(cfg: ExperimentConfig) -> dict:
+def _flatten(prefix: str, value) -> dict:
+    """{'prefix.a.b': leaf} for the leaves of nested dicts."""
+    if not isinstance(value, dict):
+        return {prefix: value}
     flat = {}
-    for key, value in asdict(cfg).items():
-        if isinstance(value, dict):
-            for k2, v2 in value.items():
-                if isinstance(v2, dict):
-                    for k3, v3 in v2.items():
-                        flat[f"config.{key}.{k2}.{k3}"] = (
-                            _fmt(v3) if v3 is not None else ""
-                        )
-                else:
-                    flat[f"config.{key}.{k2}"] = _fmt(v2) if v2 is not None else ""
-        else:
-            flat[f"config.{key}"] = _fmt(value) if value is not None else ""
+    for key, item in value.items():
+        flat.update(_flatten(f"{prefix}.{key}", item))
     return flat
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one experiment and write metrics / reconstruction / spectrum files.
 
-    Returns the metrics dict. Partial outputs are removed on failure.
+    A capture source fixes the grid, and M falls back to its ``folds``
+    metadata; the resolved T, K and M are echoed with the config. Returns
+    the metrics dict with unformatted values. Partial outputs are removed
+    on failure.
     """
     out_dir = Path(cfg.output_dir) if cfg.output_dir else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return _run_experiment_inner(cfg, out_dir)
     except Exception:
@@ -224,30 +251,39 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
-    grid = signal_model.UniformGrid(T=cfg.T, K=cfg.K)
     spec = None
     if cfg.source is not None:
+        grid = signal_model.UniformGrid(T=cfg.T, K=cfg.K)
         gamma, y, spec = synthesize_measurement(cfg.source, grid)
         gamma_values = gamma.values
         tau = cfg.source.tau
-        P_signal = cfg.source.P
+        P_used = cfg.source.P if cfg.P_used is None else cfg.P_used
     else:
         capture = load_capture(cfg.capture_path)
-        if capture.K != cfg.K or abs(capture.T - cfg.T) > 1e-9 * cfg.T:
+        if (cfg.K is not None and capture.K != cfg.K) or (
+            cfg.T is not None and abs(capture.T - cfg.T) > 1e-9 * cfg.T
+        ):
             raise ValueError(
                 f"capture grid (T={capture.T}, K={capture.K}) does not match "
                 f"the configured grid (T={cfg.T}, K={cfg.K})"
             )
+        if cfg.P_used is None:
+            raise ValueError("P_used is required for capture sources")
+        folds = capture.metadata.get("folds")
+        cfg = replace(
+            cfg,
+            T=capture.T if cfg.T is None else cfg.T,
+            K=capture.K,
+            M=int(folds) if cfg.M is None and folds is not None else cfg.M,
+        )
+        grid = signal_model.UniformGrid(T=cfg.T, K=cfg.K)
         y = signal_model.SampleVector(values=capture.modulo, grid=grid)
         gamma_values = capture.ground_truth
         tau = float(capture.metadata["tau"])
-        if cfg.P_used is None:
-            raise ValueError("P_used is required for capture sources")
-        P_signal = cfg.P_used
+        P_used = cfg.P_used
+        if cfg.p_inflation > 0:
+            P_used = int(math.ceil(P_used * (1.0 + cfg.p_inflation)))
 
-    P_used = cfg.P_used if cfg.P_used is not None else P_signal
-    if cfg.capture_path is not None and cfg.p_inflation > 0:
-        P_used = int(math.ceil(P_used * (1.0 + cfg.p_inflation)))
     if cfg.M is not None:
         M = cfg.M
     elif spec is not None:
@@ -258,26 +294,16 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
     Omega = 2.0 * np.pi * P_used / tau if P_used > 0 else 0.0
     T_fd, T_us, K_min = recovery.sampling_bounds(tau, P_used, M, Omega=Omega or None)
 
-    metrics: dict = dict(_flatten_config(cfg))
+    metrics = _flatten("config", asdict(cfg))
+    dr_y = signal_model.dynamic_range(y)
     metrics.update(
-        {
-            "tau": _fmt(tau),
-            "T": _fmt(cfg.T),
-            "K": _fmt(cfg.K),
-            "P_used": _fmt(P_used),
-            "M": _fmt(M),
-            "T_FD": _fmt(T_fd),
-            "T_US": _fmt(T_us),
-            "K_min": _fmt(K_min),
-            "DR_y": _fmt(signal_model.dynamic_range(y)),
-        }
+        tau=tau, T=cfg.T, K=cfg.K, P_used=P_used, M=M,
+        T_FD=T_fd, T_US=T_us, K_min=K_min, DR_y=dr_y,
     )
     if gamma_values is not None:
         gamma_sv = signal_model.SampleVector(values=gamma_values, grid=grid)
-        metrics["DR_gamma"] = _fmt(signal_model.dynamic_range(gamma_sv))
-        metrics["DR_ratio"] = _fmt(
-            signal_model.dynamic_range(gamma_sv) / signal_model.dynamic_range(y)
-        )
+        metrics["DR_gamma"] = signal_model.dynamic_range(gamma_sv)
+        metrics["DR_ratio"] = metrics["DR_gamma"] / dr_y
 
     calibration = (
         gamma_values if (cfg.calibrate == "mean" and gamma_values is not None) else None
@@ -285,14 +311,13 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
 
     fp_report = None
     us_report = None
-    opt_report = None
     if cfg.method in ("fp", "both"):
         fp_report = recovery.fourier_prony_recover(
             y, P_used, M, calibration_reference=calibration
         )
         if gamma_values is not None:
-            metrics["MSE_FD"] = _fmt(
-                recovery.calibrated_mse(fp_report.gamma_hat.values, gamma_values)
+            metrics["MSE_FD"] = recovery.calibrated_mse(
+                fp_report.gamma_hat.values, gamma_values
             )
     if cfg.method in ("usf", "both"):
         if cfg.threshold is None:
@@ -306,11 +331,11 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
                 y, cfg.threshold, Omega, beta, calibration_reference=calibration
             )
             if gamma_values is not None:
-                metrics["MSE_US"] = _fmt(
-                    recovery.calibrated_mse(us_report.gamma_hat.values, gamma_values)
+                metrics["MSE_US"] = recovery.calibrated_mse(
+                    us_report.gamma_hat.values, gamma_values
                 )
         except ModsampleError as exc:
-            metrics["MSE_US"] = ""
+            metrics["MSE_US"] = None
             metrics["US_error"] = str(exc)
         if cfg.lambda_grid is not None and gamma_values is not None:
             lo, hi, step = cfg.lambda_grid
@@ -323,17 +348,29 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
                     hi,
                     step,
                 )
-                metrics["lambda_opt"] = _fmt(lam_opt)
-                metrics["MSE_USopt"] = _fmt(
-                    recovery.calibrated_mse(opt_report.gamma_hat.values, gamma_values)
+                metrics["lambda_opt"] = lam_opt
+                metrics["MSE_USopt"] = recovery.calibrated_mse(
+                    opt_report.gamma_hat.values, gamma_values
                 )
             except ModsampleError as exc:
                 metrics["USopt_error"] = str(exc)
 
     if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
         _write_metrics(out_dir / "metrics.txt", metrics)
-        _write_reconstruction(
-            out_dir / "reconstruction.csv", grid, y, gamma_values, fp_report, us_report
+        k = np.arange(grid.K)
+        _write_table(
+            out_dir / "reconstruction.csv",
+            {
+                "k": k,
+                "t": k * grid.T,
+                "y": y.values,
+                "gamma_true": gamma_values,
+                "gamma_fd": fp_report.gamma_hat.values if fp_report else None,
+                "gamma_us": us_report.gamma_hat.values if us_report else None,
+                "residue_fd": fp_report.residue_hat.values if fp_report else None,
+                "residue_us": us_report.residue_hat.values if us_report else None,
+            },
         )
         _write_spectrum(out_dir / "spectrum.csv", y, fp_report)
     return metrics
@@ -342,48 +379,27 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
 def _write_metrics(path: Path, metrics: dict):
     with path.open("w") as fh:
         for key in sorted(metrics):
-            fh.write(f"{key} = {metrics[key]}\n")
-
-
-def _write_reconstruction(path, grid, y, gamma_values, fp_report, us_report):
-    with path.open("w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["k", "t", "y", "gamma_true", "gamma_fd", "gamma_us", "residue_fd", "residue_us"]
-        )
-        for k in range(grid.K):
-            row = [str(k), repr(k * grid.T), repr(float(y.values[k]))]
-            row.append(repr(float(gamma_values[k])) if gamma_values is not None else "")
-            row.append(
-                repr(float(fp_report.gamma_hat.values[k])) if fp_report else ""
-            )
-            row.append(
-                repr(float(us_report.gamma_hat.values[k])) if us_report else ""
-            )
-            row.append(
-                repr(float(fp_report.residue_hat.values[k])) if fp_report else ""
-            )
-            row.append(
-                repr(float(us_report.residue_hat.values[k])) if us_report else ""
-            )
-            writer.writerow(row)
+            fh.write(f"{key} = {_fmt(metrics[key])}\n")
 
 
 def _write_spectrum(path, y, fp_report):
-    ybar = folding.finite_difference(y.values, 1, circular=True)
-    bins = np.fft.fft(ybar)
-    L = len(bins)
-    spikes = np.zeros(L)
+    bins = np.fft.fft(folding.finite_difference(y.values, 1, circular=True))
+    spikes = np.zeros(len(bins))
     if fp_report is not None:
         # the model's instants lie on the sampling grid
         k = np.rint(fp_report.model.t / y.grid.T).astype(int)
         spikes[k] = fp_report.model.c
     model_bins = np.fft.fft(spikes)
-    with path.open("w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "abs_ybar_dft", "abs_residue_model_dft"])
-        for n in range(L):
-            writer.writerow([str(n), repr(abs(bins[n])), repr(abs(model_bins[n]))])
+    # hypot matches abs() of each bin; np.abs on a complex array may differ
+    # in the last bit
+    _write_table(
+        path,
+        {
+            "n": np.arange(len(bins)),
+            "abs_ybar_dft": np.hypot(bins.real, bins.imag),
+            "abs_residue_model_dft": np.hypot(model_bins.real, model_bins.imag),
+        },
+    )
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values, output_dir=None) -> list[dict]:

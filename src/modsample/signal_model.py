@@ -219,14 +219,6 @@ def quantize(samples: SampleVector, bits: int, full_scale: float) -> SampleVecto
     return samples.with_values((idx + 0.5) * q)
 
 
-def saturation_count(samples: SampleVector, bits: int, full_scale: float) -> int:
-    """Number of samples that the quantizer would clip."""
-    q = 2.0 * full_scale / (2**bits)
-    idx = np.floor(samples.values / q)
-    half_levels = 2 ** (bits - 1)
-    return int(np.sum((idx < -half_levels) | (idx > half_levels - 1)))
-
-
 def dynamic_range(samples: SampleVector) -> float:
     """Peak-to-peak value max - min of the samples."""
     if len(samples) < 1:

@@ -205,22 +205,3 @@ def amplitudes_ls(z, n_idx, xi) -> tuple[np.ndarray, float]:
     c, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
     residual = float(np.linalg.norm(A @ c - b))
     return c, residual
-
-
-def estimate_fold_count(z, max_M: int, drop: float = 1e-3) -> int:
-    """Heuristic spike-count estimate: smallest M where the singular values
-    of an oversized Toeplitz matrix drop by `drop` between sigma_M and
-    sigma_{M+1}. Diagnostic only; recovery takes M as a given."""
-    z = np.asarray(z, dtype=complex)
-    if len(z) < 2 * max_M:
-        max_M = len(z) // 2
-    if max_M < 1:
-        raise UndersampledError("too few samples to estimate a fold count")
-    center = len(z) // 2
-    lo = max(0, center - max_M)
-    block = z[lo : lo + 2 * max_M]
-    s = np.linalg.svd(build_toeplitz_tall(block, max_M), compute_uv=False)
-    for m in range(1, len(s)):
-        if s[m] < drop * s[m - 1]:
-            return m
-    return max_M

@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+from modsample import harness
 from modsample.cli import main
 
 
@@ -69,6 +70,65 @@ class TestRecover:
         capture = _simulate(tmp_path)
         text = capture.read_text()
         assert "# folds =" in text
+
+    def test_m_taken_from_folds_header(self, tmp_path, capsys):
+        capture = _simulate(tmp_path)
+        folds = int(capture.read_text().split("# folds = ")[1].splitlines()[0])
+        out = tmp_path / "rec"
+        assert main(
+            ["recover", "--input", str(capture), "--P", "6", "--p-inflation", "0",
+             "--output-dir", str(out)]
+        ) == 0
+        metrics = (out / "metrics.txt").read_text().splitlines()
+        assert f"M = {folds}" in metrics and f"config.M = {folds}" in metrics
+        # without the header M must be given
+        bare = tmp_path / "bare.csv"
+        bare.write_text(
+            "".join(l for l in capture.read_text().splitlines(True) if "folds" not in l)
+        )
+        code = main(
+            ["recover", "--input", str(bare), "--P", "6", "--output-dir", str(out)]
+        )
+        assert code == 2
+        assert "M is required" in capsys.readouterr().err
+
+    def test_capture_loaded_once(self, tmp_path, monkeypatch):
+        capture = _simulate(tmp_path)
+        calls = []
+        load = harness.load_capture
+
+        def counting_load(path):
+            calls.append(path)
+            return load(path)
+
+        monkeypatch.setattr(harness, "load_capture", counting_load)
+        assert main(
+            ["recover", "--input", str(capture), "--P", "6", "--lambda", "1",
+             "--method", "both", "--output-dir", str(tmp_path / "rec")]
+        ) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("flag", ["--tau", "--T", "--K"])
+    def test_grid_comes_from_capture_only(self, tmp_path, flag):
+        capture = _simulate(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["recover", "--input", str(capture), "--P", "6", flag, "7",
+                  "--output-dir", str(tmp_path / "rec")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "line", ["# tau = oops", "# dc_offset = abc", "# folds = 2.5"]
+    )
+    def test_malformed_metadata_is_io_error(self, tmp_path, capsys, line):
+        capture = _simulate(tmp_path)
+        capture.write_text(line + "\n" + capture.read_text())
+        code = main(
+            ["recover", "--input", str(capture), "--P", "6",
+             "--output-dir", str(tmp_path / "o")]
+        )
+        assert code == 4
+        key = line[2:].split(" ")[0]
+        assert f"line 1: {key} must be" in capsys.readouterr().err
 
     def test_explicit_m_and_lambda_grid(self, tmp_path):
         capture = _simulate(tmp_path)

@@ -21,7 +21,6 @@ from modsample import (
     residue_spec_from_samples,
     round_beta,
 )
-from modsample.folding import ModuloConfig
 
 
 def _sv(values):
@@ -244,8 +243,6 @@ class TestPerturbFolds:
             NonIdealityConfig(delay_max_samples=-1)
         with pytest.raises(ValueError):
             NonIdealityConfig(threshold_jitter=1.0)
-        with pytest.raises(ValueError):
-            ModuloConfig(threshold=0.0)
 
 
 class TestFiniteDifference:

@@ -4,7 +4,15 @@ metrics emission and parameter sweeps."""
 import numpy as np
 import pytest
 
-from modsample import CaptureFormatError, NonIdealityConfig, UniformGrid
+from modsample import (
+    CaptureFormatError,
+    NonIdealityConfig,
+    UniformGrid,
+    finite_difference,
+    fourier_prony_recover,
+    round_beta,
+    usf_recover,
+)
 from modsample.harness import (
     CaptureFile,
     ExperimentConfig,
@@ -71,6 +79,31 @@ class TestLoadCapture:
         with pytest.raises(CaptureFormatError) as err:
             load_capture(path)
         assert err.value.line == 3
+
+    def _assert_bad_metadata(self, tmp_path, key, value):
+        text = f"# note\n# {key} = {value}\ntime,modulo\n0.0,1.0\n0.1,2.0\n"
+        with pytest.raises(CaptureFormatError) as err:
+            load_capture(_write(tmp_path, text))
+        assert err.value.line == 2
+        assert str(err.value).startswith(f"line 2: {key} must be")
+
+    @pytest.mark.parametrize("value", ["oops", "nan", "inf", "0", "-0.4"])
+    def test_bad_tau_reports_line(self, tmp_path, value):
+        self._assert_bad_metadata(tmp_path, "tau", value)
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "-inf"])
+    def test_bad_dc_offset_reports_line(self, tmp_path, value):
+        self._assert_bad_metadata(tmp_path, "dc_offset", value)
+
+    @pytest.mark.parametrize("value", ["2.5", "-1", "many", "1e3"])
+    def test_bad_folds_reports_line(self, tmp_path, value):
+        self._assert_bad_metadata(tmp_path, "folds", value)
+
+    def test_valid_metadata_kept_as_text(self, tmp_path):
+        text = "# tau = 2e-1\n# dc_offset = -0.5\n# folds = 0\ntime,modulo\n0.0,1.0\n0.1,2.0\n"
+        cap = load_capture(_write(tmp_path, text))
+        assert cap.metadata["tau"] == "2e-1" and cap.metadata["folds"] == "0"
+        np.testing.assert_allclose(cap.modulo, [1.5, 2.5])
 
     def test_dc_offset_subtracted(self, tmp_path):
         text = "# dc_offset = 0.5\ntime,modulo\n0.0,1.0\n0.1,2.0\n"
@@ -169,6 +202,19 @@ def _synthetic_config(tmp_path=None, **kwargs):
     return ExperimentConfig(**defaults)
 
 
+def _read_table(path):
+    """{column: cell texts} of a written table; '#' lines are skipped."""
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    rows = [l.split(",") for l in lines[1:]]
+    return {name: [row[i] for row in rows] for i, name in enumerate(lines[0].split(","))}
+
+
+def _assert_cells_equal(cells, values):
+    """Every cell parses to the float64 of `values`, bit for bit."""
+    parsed = np.array([float(c) for c in cells])
+    assert parsed.tobytes() == np.asarray(values, dtype=float).tobytes()
+
+
 class TestRunExperiment:
     def test_metrics_and_files(self, tmp_path):
         metrics = run_experiment(_synthetic_config(tmp_path))
@@ -232,6 +278,23 @@ class TestRunExperiment:
         assert "DR_ratio" not in metrics
         assert "DR_y" in metrics
 
+    def test_capture_fixes_grid_and_m(self, tmp_path):
+        path = _write(tmp_path, "# folds = 0\n" + THREE_COL)
+        metrics = run_experiment(
+            ExperimentConfig(method="fp", capture_path=str(path), P_used=0)
+        )
+        assert (metrics["T"], metrics["K"], metrics["M"]) == (0.1, 4, 0)
+        assert metrics["config.T"] == 0.1 and metrics["config.K"] == 4
+        assert metrics["config.M"] == 0
+        with pytest.raises(ValueError, match="does not match"):
+            run_experiment(
+                ExperimentConfig(K=5, method="fp", capture_path=str(path), P_used=0)
+            )
+        with pytest.raises(ValueError, match="does not match"):
+            run_experiment(
+                ExperimentConfig(T=0.2, method="fp", capture_path=str(path), P_used=0)
+            )
+
     def test_capture_requires_m_and_p(self, tmp_path):
         path = _write(tmp_path, THREE_COL)
         with pytest.raises(ValueError):
@@ -242,6 +305,45 @@ class TestRunExperiment:
             run_experiment(
                 ExperimentConfig(T=0.1, K=4, method="fp", capture_path=str(path), M=0)
             )
+
+    @pytest.mark.parametrize("method", ["fp", "both"])
+    def test_tables_hold_the_recovery_arrays(self, tmp_path, method):
+        cfg = _synthetic_config(tmp_path, method=method)
+        run_experiment(cfg)
+        src = cfg.source
+        grid = UniformGrid(T=cfg.T, K=cfg.K)
+        gamma, y, spec = synthesize_measurement(src, grid)
+        fp = fourier_prony_recover(
+            y, src.P, realized_fold_count(spec, grid), calibration_reference=gamma.values
+        )
+        recon = _read_table(tmp_path / "reconstruction.csv")
+        assert list(recon) == ["k", "t", "y", "gamma_true", "gamma_fd",
+                               "gamma_us", "residue_fd", "residue_us"]
+        k = np.arange(cfg.K)
+        expected = {"k": k, "t": k * cfg.T, "y": y.values, "gamma_true": gamma.values,
+                    "gamma_fd": fp.gamma_hat.values, "residue_fd": fp.residue_hat.values}
+        if method == "fp":
+            assert set(recon["gamma_us"]) == set(recon["residue_us"]) == {""}
+        else:
+            us = usf_recover(
+                y, src.threshold, 2 * np.pi * src.P / src.tau,
+                round_beta(float(np.max(np.abs(gamma.values))), src.threshold),
+                calibration_reference=gamma.values,
+            )
+            expected.update(gamma_us=us.gamma_hat.values, residue_us=us.residue_hat.values)
+        for name, values in expected.items():
+            _assert_cells_equal(recon[name], values)
+
+        spectrum = _read_table(tmp_path / "spectrum.csv")
+        assert list(spectrum) == ["n", "abs_ybar_dft", "abs_residue_model_dft"]
+        spikes = np.zeros(cfg.K)
+        spikes[np.rint(fp.model.t / cfg.T).astype(int)] = fp.model.c
+        ybar = finite_difference(y.values, 1, circular=True)
+        _assert_cells_equal(spectrum["n"], k)
+        _assert_cells_equal(spectrum["abs_ybar_dft"], [abs(b) for b in np.fft.fft(ybar)])
+        _assert_cells_equal(
+            spectrum["abs_residue_model_dft"], [abs(b) for b in np.fft.fft(spikes)]
+        )
 
     def test_lambda_grid_reports_optimum(self, tmp_path):
         cfg = _synthetic_config(tmp_path, lambda_grid=(0.55, 1.45, 0.01))

@@ -18,7 +18,7 @@ from modsample import (
     sample,
     synthesize_random,
 )
-from modsample.signal_model import _MAX_EST_GRID, saturation_count
+from modsample.signal_model import _MAX_EST_GRID
 
 
 def cosine_signal(tau=1.0):
@@ -195,10 +195,6 @@ class TestQuantize:
         once = quantize(_sv(values), bits=bits, full_scale=1.0)
         twice = quantize(once, bits=bits, full_scale=1.0)
         np.testing.assert_array_equal(once.values, twice.values)
-
-    def test_saturation_count(self):
-        sv = _sv([0.0, 0.5, 2.0, -3.0])
-        assert saturation_count(sv, bits=8, full_scale=1.0) == 2
 
     def test_argument_errors(self):
         with pytest.raises(ValueError):

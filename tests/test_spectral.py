@@ -14,7 +14,6 @@ from modsample import (
     annihilator,
     band_partition,
     build_toeplitz_tall,
-    estimate_fold_count,
     extract_out_of_band,
     finite_difference,
     fourier_prony_recover,
@@ -285,8 +284,3 @@ class TestExponentialModel:
         np.testing.assert_allclose(m.t, [0.2, 0.7])
         np.testing.assert_allclose(m.c, [2.0, 1.0])
 
-
-class TestEstimateFoldCount:
-    def test_recovers_planted_count(self):
-        z, _, _ = spike_spectrum([5, 17, 30], [1.0, -1.5, 0.3], 64, 2)
-        assert estimate_fold_count(z, max_M=8) == 3
