@@ -2,7 +2,6 @@
 
 from .exceptions import (
     CaptureFormatError,
-    DegenerateRootsError,
     FoldConsistencyError,
     ModsampleError,
     OversamplingInsufficientError,
@@ -43,7 +42,6 @@ from .signal_model import (
     synthesize_random,
 )
 from .spectral import (
-    ExponentialModel,
     amplitudes_ls,
     annihilator,
     band_partition,

@@ -93,6 +93,9 @@ def _resolve_grid(args) -> tuple[float, float, int]:
     given = sum(v is not None for v in (tau, T, K))
     if given < 2:
         raise ValueError("need at least two of --tau, --T, --K")
+    for flag, value in (("--tau", tau), ("--T", T), ("--K", K)):
+        if value is not None and not value > 0:
+            raise ValueError(f"{flag} must be positive, got {value!r}")
     if tau is None:
         tau = K * T
     elif T is None:

@@ -17,10 +17,6 @@ class FoldConsistencyError(ModsampleError, RuntimeError):
     """Baseline unfolding detected data inconsistent with ideal 2*lambda folds."""
 
 
-class DegenerateRootsError(ModsampleError, RuntimeError):
-    """Duplicate exponential roots make the amplitude system rank-deficient."""
-
-
 class RecoveryError(ModsampleError, RuntimeError):
     """End-to-end recovery failure; carries the failing algorithm step."""
 

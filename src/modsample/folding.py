@@ -1,5 +1,8 @@
 """Centered modulo nonlinearity, ideal and generalized folding models,
-finite differences and the baseline order-selection rule."""
+finite differences and the baseline order-selection rule.
+
+A residue's jumps are kept as grid indices: folds lie on the sampling grid
+by model, so no fold instant is ever held in seconds."""
 
 from __future__ import annotations
 
@@ -13,43 +16,45 @@ from .signal_model import SampleVector
 _EULER = float(np.e)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == would be elementwise
 class ResidueSpec:
-    """Piecewise-constant residue on one period, as sorted jump events.
+    """Piecewise-constant residue on one period of a K-point sampling grid.
 
-    Each event (t_m, c_m) contributes a step c_m * 1_{t >= t_m}; instants
-    live in [0, tau) and, when attached to a grid, on integer multiples of
-    the grid step.
+    Jump m adds c[m] to every sample from grid index k[m] on. The indices
+    are strictly increasing integers in [0, K); tau is the period in
+    seconds, so jump m happens at k[m] * tau / K.
     """
 
-    events: tuple
+    k: np.ndarray
+    c: np.ndarray
+    K: int
     tau: float
 
     def __post_init__(self):
-        events = tuple((float(t), float(c)) for t, c in self.events)
-        instants = [t for t, _ in events]
-        if any(t1 <= t0 for t0, t1 in zip(instants, instants[1:])):
-            raise ValueError("event instants must be strictly increasing")
-        if instants and (instants[0] < 0 or instants[-1] >= self.tau):
-            raise ValueError("event instants must lie in [0, tau)")
-        object.__setattr__(self, "events", events)
+        k = np.asarray(self.k)
+        if k.size and not np.issubdtype(k.dtype, np.integer):
+            raise ValueError(f"fold indices must be integers, got {k.dtype}")
+        k = k.astype(np.intp)
+        c = np.array(self.c, dtype=float)
+        if k.ndim != 1 or c.shape != k.shape:
+            raise ValueError(f"k and c must be 1-D and match, got {k.shape}, {c.shape}")
+        if self.K < 1:
+            raise ValueError(f"K must be a positive integer, got {self.K}")
+        if np.any(k[1:] <= k[:-1]):
+            raise ValueError("fold indices must be strictly increasing")
+        if k.size and (k[0] < 0 or k[-1] >= self.K):
+            raise ValueError(f"fold indices must lie in [0, K={self.K})")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "c", c)
 
     @property
     def M(self) -> int:
-        return len(self.events)
+        return len(self.k)
 
-    def instants(self) -> np.ndarray:
-        return np.array([t for t, _ in self.events], dtype=float)
-
-    def amplitudes(self) -> np.ndarray:
-        return np.array([c for _, c in self.events], dtype=float)
-
-    def step_values(self, times: np.ndarray) -> np.ndarray:
-        """r(t) = sum of jumps with t_m <= t, evaluated at the given times."""
-        # levels[n] is the sum of the first n jumps, added in event order
-        levels = np.cumsum(np.concatenate(([0.0], self.amplitudes())))
-        n = np.searchsorted(self.instants() - 1e-12 * self.tau, times, side="right")
-        return levels[n]
+    def values(self) -> np.ndarray:
+        """The K residue samples: r[n] is the sum of the jumps with k[m] <= n,
+        added in jump order."""
+        return np.cumsum(np.bincount(self.k, weights=self.c, minlength=self.K))
 
 
 @dataclass(frozen=True)
@@ -104,61 +109,53 @@ def fold_ideal(gamma: SampleVector, threshold: float):
 
 
 def residue_spec_from_samples(residue: SampleVector, tau: float) -> ResidueSpec:
-    """Convert residue samples to jump events at the grid instants where the
-    step function changes."""
+    """Jumps of residue samples: one at each grid index where the samples
+    change (the residue before the first sample is 0)."""
     r = residue.values
-    jumps = r - np.concatenate(([0.0], r[:-1]))  # r before the first sample is 0
+    jumps = r - np.concatenate(([0.0], r[:-1]))
     k = jumps.nonzero()[0]
-    events = zip((k * residue.grid.T).tolist(), jumps[k].tolist())
-    return ResidueSpec(events=tuple(events), tau=tau)
+    return ResidueSpec(k=k, c=jumps[k], K=residue.grid.K, tau=tau)
 
 
 def apply_residue(gamma: SampleVector, spec: ResidueSpec) -> SampleVector:
-    """Generalized (non-ideal) folding: y[k] = gamma[k] - r(kT).
+    """Generalized (non-ideal) folding: y[k] = gamma[k] - r[k].
 
     Jump amplitudes are unconstrained reals, so this covers residues off the
     2*lambda grid.
     """
-    T = gamma.grid.T
-    for t_m, _ in spec.events:
-        if abs(t_m / T - round(t_m / T)) > 1e-6:
-            raise ValueError(f"event instant {t_m} is not aligned to the grid")
-    r = spec.step_values(gamma.grid.times)
-    return gamma.with_values(gamma.values - r)
+    if spec.K != gamma.grid.K:
+        raise ValueError(f"fold spec has K={spec.K}, the samples K={gamma.grid.K}")
+    return gamma.with_values(gamma.values - spec.values())
 
 
-def perturb_folds(ideal: ResidueSpec, cfg: NonIdealityConfig, T: float, seed) -> ResidueSpec:
+def perturb_folds(ideal: ResidueSpec, cfg: NonIdealityConfig, seed) -> ResidueSpec:
     """Apply the non-ideality model to an ideal fold specification.
 
-    Each event is delayed by a uniform integer number of grid steps in
+    Each jump is delayed by a uniform integer number of grid steps in
     [0, delay_max_samples] (wrapping at the period boundary), its amplitude
     is scaled by (1 + eta) with eta uniform in +-threshold_jitter, and
-    Poisson(spurious_rate) extra grid-aligned events with uniform amplitudes
-    in +-spurious_amp_max are inserted. Colliding instants merge by summing
-    amplitudes.
+    Poisson(spurious_rate) extra jumps at uniform grid indices with uniform
+    amplitudes in +-spurious_amp_max are added. Jumps that land on the same
+    index merge by summing their amplitudes, in draw order; a merged jump
+    of exactly zero is dropped.
     """
     rng = np.random.default_rng(seed)
-    tau = ideal.tau
-    K = int(round(tau / T))
-    merged: dict[int, float] = {}
-
-    def add(k: int, c: float):
-        merged[k] = merged.get(k, 0.0) + c
-
-    for t_m, c_m in ideal.events:
-        k = int(round(t_m / T))
+    K = ideal.K
+    k, c = ideal.k.tolist(), ideal.c.tolist()
+    # one event at a time, so the draws keep their per-event order
+    for m in range(ideal.M):
         if cfg.delay_max_samples > 0:
-            k = (k + int(rng.integers(0, cfg.delay_max_samples + 1))) % K
+            k[m] = (k[m] + int(rng.integers(0, cfg.delay_max_samples + 1))) % K
         if cfg.threshold_jitter > 0:
-            c_m = c_m * (1.0 + rng.uniform(-cfg.threshold_jitter, cfg.threshold_jitter))
-        add(k, c_m)
+            eta = rng.uniform(-cfg.threshold_jitter, cfg.threshold_jitter)
+            c[m] = c[m] * (1.0 + eta)
     if cfg.spurious_rate > 0:
         for _ in range(int(rng.poisson(cfg.spurious_rate))):
-            add(int(rng.integers(0, K)), rng.uniform(-cfg.spurious_amp_max, cfg.spurious_amp_max))
-    events = tuple(
-        (k * T, c) for k, c in sorted(merged.items()) if c != 0.0
-    )
-    return ResidueSpec(events=events, tau=tau)
+            k.append(int(rng.integers(0, K)))
+            c.append(rng.uniform(-cfg.spurious_amp_max, cfg.spurious_amp_max))
+    merged = np.bincount(np.asarray(k, dtype=np.intp), weights=c, minlength=K)
+    k_out = merged.nonzero()[0]
+    return ResidueSpec(k=k_out, c=merged[k_out], K=K, tau=ideal.tau)
 
 
 def finite_difference(s, N: int, circular: bool = False) -> np.ndarray:

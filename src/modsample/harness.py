@@ -193,9 +193,7 @@ def synthesize_measurement(src: SyntheticSource, grid: signal_model.UniformGrid)
     _, residue = folding.fold_ideal(gamma, src.threshold)
     spec = folding.residue_spec_from_samples(residue, src.tau)
     if src.nonideality is not None:
-        spec = folding.perturb_folds(
-            spec, src.nonideality, grid.T, seed=src.seed + 1
-        )
+        spec = folding.perturb_folds(spec, src.nonideality, seed=src.seed + 1)
     y = folding.apply_residue(gamma, spec)
     if src.bits is not None:
         y = signal_model.quantize(y, src.bits, src.threshold)
@@ -205,8 +203,9 @@ def synthesize_measurement(src: SyntheticSource, grid: signal_model.UniformGrid)
 def realized_fold_count(spec: folding.ResidueSpec, grid: signal_model.UniformGrid) -> int:
     """Number of spikes in the circularly differenced residue, counting the
     wrap spike when the jumps do not cancel."""
-    r = spec.step_values(grid.times)
-    rbar = folding.finite_difference(r, 1, circular=True)
+    if spec.K != grid.K:
+        raise ValueError(f"fold spec has K={spec.K}, the grid K={grid.K}")
+    rbar = folding.finite_difference(spec.values(), 1, circular=True)
     scale = max(np.max(np.abs(rbar), initial=0.0), 1.0)
     return int(np.sum(np.abs(rbar) > 1e-12 * scale))
 
@@ -386,9 +385,7 @@ def _write_spectrum(path, y, fp_report):
     bins = np.fft.fft(folding.finite_difference(y.values, 1, circular=True))
     spikes = np.zeros(len(bins))
     if fp_report is not None:
-        # the model's instants lie on the sampling grid
-        k = np.rint(fp_report.model.t / y.grid.T).astype(int)
-        spikes[k] = fp_report.model.c
+        spikes[fp_report.support] = fp_report.amplitudes
     model_bins = np.fft.fft(spikes)
     # hypot matches abs() of each bin; np.abs on a complex array may differ
     # in the last bit
@@ -444,9 +441,11 @@ def _set_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
         return replace(cfg, source=replace(cfg.source, **{axis: caster(value)}))
     if not hasattr(cfg, axis):
         raise ValueError(f"unknown config field {axis!r}")
-    caster = int if axis in ("K", "M", "P_used") else float
-    out = replace(cfg, **{axis: caster(value)})
+    value = (int if axis in ("K", "M", "P_used") else float)(value)
+    if axis == "K" and value <= 0:
+        raise ValueError(f"K must be positive, got {value}")
+    out = replace(cfg, **{axis: value})
     if axis == "K" and cfg.source is not None:
         # keep the one-period relation K*T = tau for synthetic sources
-        out = replace(out, T=cfg.source.tau / int(value))
+        out = replace(out, T=cfg.source.tau / value)
     return out

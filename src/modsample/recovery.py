@@ -25,11 +25,15 @@ class RecoveryReport:
     """Reconstructed unfolded samples plus diagnostics.
 
     Invariant: gamma_hat == y + residue_hat + offset_applied elementwise.
+    The Fourier method also reports the spikes of the differenced residue:
+    their sorted grid indices (`support`) and their `amplitudes`. Both are
+    None for the baseline.
     """
 
     gamma_hat: SampleVector
     residue_hat: SampleVector
-    model: Optional[spectral.ExponentialModel]
+    support: Optional[np.ndarray]
+    amplitudes: Optional[np.ndarray]
     method: str
     offset_applied: float
     diagnostics: dict = field(default_factory=dict)
@@ -96,7 +100,8 @@ def fourier_prony_recover(
     real least-squares amplitudes, anti-difference and recombination with
     the folded samples. Folding instants lie on the sampling grid by model,
     so the differenced residue is the fitted amplitudes placed at the
-    support. The result is exact for noiseless folds whenever
+    support; the report carries the support as grid indices, never as
+    instants in seconds. The result is exact for noiseless folds whenever
     K >= 2(P+M+1), and the folding threshold is never consulted.
 
     Parameters
@@ -127,7 +132,8 @@ def fourier_prony_recover(
         return RecoveryReport(
             gamma_hat=y.with_values(y.values + offset),
             residue_hat=y.with_values(np.zeros(K)),
-            model=spectral.ExponentialModel(xi=[], c=[], t=[]),
+            support=np.zeros(0, dtype=np.intp),
+            amplitudes=np.zeros(0),
             method="fourier_prony",
             offset_applied=offset,
             diagnostics=diagnostics,
@@ -144,9 +150,8 @@ def fourier_prony_recover(
         k_hat = spectral.grid_support(z, K, M)
     except ValueError as exc:
         raise RecoveryError(str(exc), step=4) from exc
-    xi = np.exp(-2j * np.pi * k_hat / K)
     # z = -spike spectrum on the out-of-band set, hence the sign flip
-    c_hat, residual = spectral.amplitudes_ls(-z, n_idx, xi)
+    c_hat, residual = spectral.amplitudes_ls(-z, n_idx, k_hat, K)
     diagnostics["fit_residual"] = residual
 
     # step 5: the differenced residue is c_hat at the support
@@ -162,7 +167,8 @@ def fourier_prony_recover(
     return RecoveryReport(
         gamma_hat=y.with_values(raw_gamma + offset),
         residue_hat=y.with_values(r_hat),
-        model=spectral.ExponentialModel(xi=xi, c=c_hat, t=k_hat * y.grid.T),
+        support=k_hat,
+        amplitudes=c_hat,
         method="fourier_prony",
         offset_applied=offset,
         diagnostics=diagnostics,
@@ -234,7 +240,8 @@ def usf_recover(
     return RecoveryReport(
         gamma_hat=y.with_values(raw_gamma + offset),
         residue_hat=y.with_values(rho_n),
-        model=None,
+        support=None,
+        amplitudes=None,
         method="usf",
         offset_applied=offset,
         diagnostics=diagnostics,
@@ -285,7 +292,8 @@ def optimize_lambda(
     return lam_opt, RecoveryReport(
         gamma_hat=report.gamma_hat,
         residue_hat=report.residue_hat,
-        model=None,
+        support=None,
+        amplitudes=None,
         method="usf_opt",
         offset_applied=report.offset_applied,
         diagnostics=report.diagnostics,

@@ -5,42 +5,17 @@ pencil kept as reference estimators.
 Folding instants lie on the sampling grid by model, so the first difference
 of the residue is a train of M spikes at integer indices k_m of the L-point
 grid, and its DFT is sum_m c_m xi_m^n with xi_m = exp(-2j pi k_m / L).
-:func:`grid_support` uses that directly and never roots a polynomial.
+:func:`grid_support` finds the indices k_m on the grid and never roots a
+polynomial; :func:`amplitudes_ls` fits the c_m with xi_m^n read from the L
+roots of unity. Spikes are never held as roots or instants in seconds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exceptions import DegenerateRootsError, UndersampledError
-
-
-@dataclass(frozen=True)
-class ExponentialModel:
-    """Estimated spike parameters: unit-modulus roots, real amplitudes and
-    folding instants in seconds (sorted by instant)."""
-
-    xi: np.ndarray
-    c: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=complex)
-        c = np.asarray(self.c, dtype=float)
-        t = np.asarray(self.t, dtype=float)
-        if not (len(xi) == len(c) == len(t)):
-            raise ValueError("xi, c and t must have equal length")
-        order = np.argsort(t)
-        object.__setattr__(self, "xi", xi[order])
-        object.__setattr__(self, "c", c[order])
-        object.__setattr__(self, "t", t[order])
-
-    @property
-    def M(self) -> int:
-        return len(self.xi)
+from .exceptions import UndersampledError
 
 
 def band_partition(L: int, P: int):
@@ -111,7 +86,9 @@ def grid_support(z, L: int, M: int) -> np.ndarray:
     if len(z) < 2 * M + 1:
         raise UndersampledError(f"need at least 2M+1={2 * M + 1} samples, got {len(z)}")
     Q = min(2 * M, max(M + 1, len(z) - 2 * M))
-    _, _, vh = np.linalg.svd(sliding_window_view(z, Q), full_matrices=False)
+    # the Hankel matrix and its triangular QR factor share their right
+    # singular vectors, and the Q x Q factor is the cheaper one to decompose
+    _, _, vh = np.linalg.svd(np.linalg.qr(sliding_window_view(z, Q), mode="r"))
     # conj(v) . (xi^j)_j is the DFT of conj(v) at the root's grid index
     noise = np.fft.fft(np.conj(vh[M:]), n=L, axis=1)
     power = np.sum(np.abs(noise) ** 2, axis=0)
@@ -178,28 +155,26 @@ def matrix_pencil(z, M: int, Q: int | None = None) -> np.ndarray:
     return np.linalg.eigvals(core)
 
 
-def amplitudes_ls(z, n_idx, xi) -> tuple[np.ndarray, float]:
-    """Real spike amplitudes from least squares on z[n] ~ sum_m c[m] xi_m^n.
+def amplitudes_ls(z, n_idx, k, L: int) -> tuple[np.ndarray, float]:
+    """Real spike amplitudes from least squares on
+    z[i] ~ sum_m c[m] exp(-2j pi k[m] n_idx[i] / L).
 
-    The complex system is stacked into its real and imaginary parts so the
-    solution is constrained real. Returns (c, residual_norm).
+    k holds the spikes' distinct grid indices. Each Vandermonde entry is
+    read from a table of the L roots of unity at (k n) mod L, so every
+    entry is accurate to rounding, however large n gets. The complex system
+    is stacked into its real and imaginary parts so the solution is
+    constrained real. Returns (c, residual_norm).
     """
     z = np.asarray(z, dtype=complex)
     n_idx = np.asarray(n_idx)
-    xi = np.asarray(xi, dtype=complex)
-    M = len(xi)
+    k = np.asarray(k)
+    M = len(k)
     if M < 1:
-        raise ValueError("need at least one root")
+        raise ValueError("need at least one spike")
     if len(z) < M:
         raise UndersampledError(f"need at least M={M} equations, got {len(z)}")
-    close = np.triu(np.abs(xi[:, None] - xi[None, :]) < 1e-10, k=1)
-    if close.any():
-        # argwhere lists pairs in row-major order, so this is the first pair
-        a, b = np.argwhere(close)[0]
-        raise DegenerateRootsError(
-            f"roots {a} and {b} coincide within 1e-10: {xi[a]!r}"
-        )
-    V = xi[None, :] ** n_idx[:, None]
+    roots = np.exp(-2j * np.pi * np.arange(L) / L)
+    V = roots[np.outer(n_idx, k) % L]
     A = np.vstack([V.real, V.imag])
     b = np.concatenate([z.real, z.imag])
     c, _, _, _ = np.linalg.lstsq(A, b, rcond=None)

@@ -95,13 +95,14 @@ def ideal_trials(
 def add_spurious_jump(spec: folding.ResidueSpec, grid, rng) -> folding.ResidueSpec:
     """Insert exactly one extra jump at a free grid index with an amplitude
     off the 2*lambda lattice."""
-    T = grid.T
-    occupied = {int(round(t / T)) for t in spec.instants()}
-    free = [k for k in range(grid.K) if k not in occupied]
+    free = np.setdiff1d(np.arange(grid.K), spec.k)
     k_sp = free[int(rng.integers(len(free)))]
     amp = float(rng.uniform(0.3, 1.5)) * float(rng.choice([-1.0, 1.0]))
-    events = sorted(list(spec.events) + [(k_sp * T, amp)])
-    return folding.ResidueSpec(events=tuple(events), tau=spec.tau)
+    at = np.searchsorted(spec.k, k_sp)
+    return folding.ResidueSpec(
+        k=np.insert(spec.k, at, k_sp), c=np.insert(spec.c, at, amp),
+        K=spec.K, tau=spec.tau,
+    )
 
 
 def nonideal_trials(n: int, seed0: int = 0, **kwargs):
@@ -119,7 +120,7 @@ def nonideal_trials(n: int, seed0: int = 0, **kwargs):
         seed += 1
         if trial is None or not 1 <= trial.M <= 20:
             continue
-        spec2 = folding.perturb_folds(trial.spec, cfg, trial.grid.T, seed=seed + 10_000)
+        spec2 = folding.perturb_folds(trial.spec, cfg, seed=seed + 10_000)
         spec2 = add_spurious_jump(spec2, trial.grid, np.random.default_rng(seed + 20_000))
         M2 = harness.realized_fold_count(spec2, trial.grid)
         if trial.grid.K < 2 * (trial.P + M2 + 1):

@@ -46,6 +46,22 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            (["--tau", "1", "--K", "0"], "--K must be positive"),
+            (["--tau", "1", "--T", "0"], "--T must be positive"),
+            (["--tau", "-1", "--K", "8"], "--tau must be positive"),
+        ],
+    )
+    def test_non_positive_grid_is_config_error(self, tmp_path, capsys, grid, message):
+        code = main(
+            ["simulate", *grid, "--P", "3", "--lambda", "1",
+             "--output-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestRecover:
     def test_end_to_end(self, tmp_path, capsys):
@@ -239,6 +255,15 @@ class TestSweep:
              "--output-dir", str(tmp_path / "sw")]
         )
         assert code == 2
+
+    def test_zero_k_is_config_error(self, tmp_path, capsys):
+        code = main(
+            ["sweep", "--tau", "1.0", "--K", "96", "--P", "4", "--lambda", "1",
+             "--axis", "K", "--values", "0,64",
+             "--output-dir", str(tmp_path / "sw")]
+        )
+        assert code == 2
+        assert "K must be positive" in capsys.readouterr().err
 
 
 class TestNonidealityFlags:

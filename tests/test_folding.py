@@ -103,69 +103,102 @@ class TestFoldIdeal:
         np.testing.assert_array_equal(residue.values / 2.0, np.round(residue.values / 2.0))
 
 
+def _spec(k, c, K, tau=1.0):
+    return ResidueSpec(k=np.array(k, dtype=int), c=c, K=K, tau=tau)
+
+
 class TestResidueSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ResidueSpec(events=((0.2, 1.0), (0.2, 2.0)), tau=1.0)  # not increasing
+            _spec([2, 2], [1.0, 2.0], 10)  # not increasing
         with pytest.raises(ValueError):
-            ResidueSpec(events=((1.0, 2.0),), tau=1.0)  # instant outside [0, tau)
+            _spec([10], [2.0], 10)  # index outside [0, K)
         with pytest.raises(ValueError):
-            ResidueSpec(events=((-0.1, 2.0),), tau=1.0)
+            _spec([-1], [2.0], 10)
+        with pytest.raises(ValueError):
+            ResidueSpec(k=[0.5], c=[2.0], K=10, tau=1.0)  # not an integer
+        with pytest.raises(ValueError):
+            _spec([1, 2], [2.0], 10)  # one amplitude short
+        with pytest.raises(ValueError):
+            _spec([], [], 0)
 
     def test_accessors(self):
-        spec = ResidueSpec(events=((0.1, 2.0), (0.5, -4.0)), tau=1.0)
+        spec = _spec([1, 5], [2.0, -4.0], 10)
         assert spec.M == 2
-        np.testing.assert_allclose(spec.instants(), [0.1, 0.5])
-        np.testing.assert_allclose(spec.amplitudes(), [2.0, -4.0])
-        np.testing.assert_allclose(
-            spec.step_values(np.array([0.0, 0.1, 0.4, 0.6])), [0.0, 2.0, 2.0, -2.0]
+        np.testing.assert_array_equal(spec.k, [1, 5])
+        np.testing.assert_array_equal(spec.c, [2.0, -4.0])
+        np.testing.assert_array_equal(
+            spec.values(), [0.0, 2.0, 2.0, 2.0, 2.0, -2.0, -2.0, -2.0, -2.0, -2.0]
         )
 
 
-def _step_values_loop(spec, times):
-    """Reference: one masked add per event, in event order."""
-    r = np.zeros(len(times))
-    for t_m, c_m in spec.events:
-        r[times >= t_m - 1e-12 * spec.tau] += c_m
+def _values_loop(spec):
+    """Reference: one masked add per jump, in jump order."""
+    r = np.zeros(spec.K)
+    n = np.arange(spec.K)
+    for k_m, c_m in zip(spec.k, spec.c):
+        r[n >= k_m] += c_m
     return r
 
 
-def _residue_events_loop(r, T):
-    """Reference: one event per grid index where the step changes."""
-    events = []
+def _residue_events_loop(r):
+    """Reference: one jump per grid index where the step changes."""
+    k, c = [], []
     prev = 0.0
-    for k in range(len(r)):
-        jump = r[k] - prev
+    for n in range(len(r)):
+        jump = r[n] - prev
         if jump != 0.0:
-            events.append((k * T, jump))
-        prev = r[k]
-    return tuple(events)
+            k.append(n)
+            c.append(jump)
+        prev = r[n]
+    return k, c
+
+
+def _perturb_folds_loop(events, tau, cfg, T, seed):
+    """Reference: the per-event draws merged through a dict, with the jumps
+    as (instant in seconds, amplitude) pairs."""
+    rng = np.random.default_rng(seed)
+    K = int(round(tau / T))
+    merged = {}
+
+    def add(k, c):
+        merged[k] = merged.get(k, 0.0) + c
+
+    for t_m, c_m in events:
+        k = int(round(t_m / T))
+        if cfg.delay_max_samples > 0:
+            k = (k + int(rng.integers(0, cfg.delay_max_samples + 1))) % K
+        if cfg.threshold_jitter > 0:
+            c_m = c_m * (1.0 + rng.uniform(-cfg.threshold_jitter, cfg.threshold_jitter))
+        add(k, c_m)
+    if cfg.spurious_rate > 0:
+        for _ in range(int(rng.poisson(cfg.spurious_rate))):
+            add(
+                int(rng.integers(0, K)),
+                rng.uniform(-cfg.spurious_amp_max, cfg.spurious_amp_max),
+            )
+    return tuple((k * T, c) for k, c in sorted(merged.items()) if c != 0.0)
+
+
+def _assert_same_spec(spec, k, c):
+    assert spec.k.tolist() == list(k)
+    assert spec.c.tobytes() == np.asarray(c, dtype=float).tobytes()
 
 
 class TestResidueBookkeeping:
-    """The vectorized step evaluation and jump extraction reproduce the
-    per-event loops bit for bit."""
+    """The integer fold format reproduces the per-event loops bit for bit."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_step_values_matches_loop(self, seed):
         rng = np.random.default_rng(seed)
-        K, T = 257, 1.0 / 257
+        K = 257
         k = np.sort(rng.choice(K, size=int(rng.integers(1, 40)), replace=False))
-        spec = ResidueSpec(
-            events=tuple(zip(k * T, rng.normal(scale=3.0, size=len(k)))), tau=1.0
-        )
-        on_grid = np.arange(K) * T
-        off_grid_unsorted = rng.uniform(-0.1, 1.1, size=300)
-        at_tolerance_edge = spec.instants() - 1e-12 * spec.tau
-        for times in (on_grid, off_grid_unsorted, on_grid[::-1], at_tolerance_edge):
-            expected = _step_values_loop(spec, times)
-            got = spec.step_values(times)
-            assert got.tobytes() == expected.tobytes()
+        spec = _spec(k, rng.normal(scale=3.0, size=len(k)), K)
+        assert spec.values().tobytes() == _values_loop(spec).tobytes()
 
     def test_step_values_empty_spec(self):
-        spec = ResidueSpec(events=(), tau=2.0)
-        times = np.array([1.5, 0.0, 0.7])
-        assert spec.step_values(times).tobytes() == _step_values_loop(spec, times).tobytes()
+        spec = _spec([], [], 3, tau=2.0)
+        assert spec.values().tobytes() == _values_loop(spec).tobytes()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_residue_spec_matches_loop(self, seed):
@@ -175,25 +208,62 @@ class TestResidueBookkeeping:
         r[0] = 6.0  # jump at k = 0
         sv = SampleVector(values=r, grid=UniformGrid(T=0.01, K=K))
         spec = residue_spec_from_samples(sv, 2.0)
-        expected = _residue_events_loop(r, 0.01)
-        assert spec.events == expected
-        assert spec.events[0] == (0.0, 6.0)
+        _assert_same_spec(spec, *_residue_events_loop(r))
+        assert (spec.k[0], spec.c[0]) == (0, 6.0)
+        assert (spec.K, spec.tau) == (K, 2.0)
 
     def test_residue_spec_from_flat_residue_is_empty(self):
         spec = residue_spec_from_samples(_sv(np.zeros(7)), 7.0)
-        assert spec.events == () == _residue_events_loop(np.zeros(7), 1.0)
+        assert spec.M == 0 and _residue_events_loop(np.zeros(7)) == ([], [])
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            NonIdealityConfig(delay_max_samples=2),
+            NonIdealityConfig(threshold_jitter=0.2),
+            NonIdealityConfig(delay_max_samples=3, threshold_jitter=0.2,
+                              spurious_rate=4.0, spurious_amp_max=0.5),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_perturb_folds_matches_loop(self, cfg, seed):
+        rng = np.random.default_rng(100 + seed)
+        K = 64
+        T = 1.0 / K
+        k = np.sort(rng.choice(K, size=12, replace=False))
+        k[-1] = K - 1  # a delay past the last sample wraps to the start
+        spec = _spec(k, 2.0 * rng.choice([-1.0, 1.0], size=12), K)
+        events = tuple(zip((spec.k * T).tolist(), spec.c.tolist()))
+        expected = _perturb_folds_loop(events, 1.0, cfg, T, seed)
+        out = perturb_folds(spec, cfg, seed=seed)
+        _assert_same_spec(
+            out, [round(t / T) for t, _ in expected], [c for _, c in expected]
+        )
+
+    def test_perturb_folds_wrap_and_cancel(self):
+        cfg = NonIdealityConfig(delay_max_samples=1)
+        # seed 2 delays the first jump by one sample and the second by none:
+        # they merge to exactly zero and the jump is dropped
+        spec = _spec([3, 4], [2.0, -2.0], 8)
+        assert perturb_folds(spec, cfg, seed=2).M == 0
+        events = ((3 / 8, 2.0), (4 / 8, -2.0))
+        assert _perturb_folds_loop(events, 1.0, cfg, 1 / 8, seed=2) == ()
+        # seed 0 delays the jump at the last index by one: it wraps to index 0
+        out = perturb_folds(_spec([7], [2.0], 8), cfg, seed=0)
+        _assert_same_spec(out, [0], [2.0])
+        expected = ((0.0, 2.0),)
+        assert _perturb_folds_loop(((7 / 8, 2.0),), 1.0, cfg, 1 / 8, seed=0) == expected
 
 
 class TestApplyResidue:
     def test_empty_spec_identity(self):
         gamma = _sv([1.0, 2.0, 3.0])
-        out = apply_residue(gamma, ResidueSpec(events=(), tau=3.0))
+        out = apply_residue(gamma, _spec([], [], 3, tau=3.0))
         np.testing.assert_array_equal(out.values, gamma.values)
 
     def test_single_step(self):
         gamma = _sv(np.zeros(5))
-        spec = ResidueSpec(events=((2.0, 3.7),), tau=5.0)
-        out = apply_residue(gamma, spec)
+        out = apply_residue(gamma, _spec([2], [3.7], 5, tau=5.0))
         np.testing.assert_allclose(out.values, [0, 0, -3.7, -3.7, -3.7])
 
     def test_matches_fold_ideal(self):
@@ -203,39 +273,37 @@ class TestApplyResidue:
         out = apply_residue(gamma, spec)
         np.testing.assert_allclose(out.values, y.values, atol=1e-12)
 
-    def test_off_grid_instant_rejected(self):
+    def test_grid_size_mismatch_rejected(self):
         gamma = _sv(np.zeros(4))
-        with pytest.raises(ValueError):
-            apply_residue(gamma, ResidueSpec(events=((1.5, 1.0),), tau=4.0))
+        with pytest.raises(ValueError, match="K=5"):
+            apply_residue(gamma, _spec([1], [1.0], 5, tau=4.0))
 
 
 class TestPerturbFolds:
     def _spec(self):
-        return ResidueSpec(events=((2.0, 2.0), (5.0, -2.0)), tau=10.0)
+        return _spec([2, 5], [2.0, -2.0], 10, tau=10.0)
 
     def test_identity_when_disabled(self):
-        cfg = NonIdealityConfig()
-        out = perturb_folds(self._spec(), cfg, T=1.0, seed=0)
-        assert out.events == self._spec().events
+        out = perturb_folds(self._spec(), NonIdealityConfig(), seed=0)
+        _assert_same_spec(out, self._spec().k, self._spec().c)
 
     def test_delay_deterministic(self):
         cfg = NonIdealityConfig(delay_max_samples=2)
-        a = perturb_folds(self._spec(), cfg, T=1.0, seed=42)
-        b = perturb_folds(self._spec(), cfg, T=1.0, seed=42)
-        assert a.events == b.events
-        for (t_out, _), (t_in, _) in zip(a.events, self._spec().events):
-            shift = (t_out - t_in) % 10.0
-            assert shift in (0.0, 1.0, 2.0)
+        a = perturb_folds(self._spec(), cfg, seed=42)
+        b = perturb_folds(self._spec(), cfg, seed=42)
+        _assert_same_spec(a, b.k, b.c)
+        for k_out, k_in in zip(a.k, self._spec().k):
+            assert (k_out - k_in) % 10 in (0, 1, 2)
 
     def test_jitter_bound(self):
         cfg = NonIdealityConfig(threshold_jitter=0.1)
-        out = perturb_folds(self._spec(), cfg, T=1.0, seed=3)
-        for (_, c_out), (_, c_in) in zip(out.events, self._spec().events):
+        out = perturb_folds(self._spec(), cfg, seed=3)
+        for c_out, c_in in zip(out.c, self._spec().c):
             assert abs(c_out / c_in - 1.0) <= 0.1
 
     def test_spurious_jumps_added(self):
         cfg = NonIdealityConfig(spurious_rate=5.0, spurious_amp_max=1.0)
-        out = perturb_folds(self._spec(), cfg, T=1.0, seed=1)
+        out = perturb_folds(self._spec(), cfg, seed=1)
         assert out.M >= self._spec().M
 
     def test_config_validation(self):

@@ -135,7 +135,7 @@ class TestSynthesizeMeasurement:
     def test_ideal_decomposition(self):
         grid = UniformGrid(T=1.0 / 64, K=64)
         gamma, y, spec = synthesize_measurement(self._source(), grid)
-        r = spec.step_values(grid.times)
+        r = spec.values()
         np.testing.assert_allclose(gamma.values - r, y.values, atol=1e-12)
         assert np.all(np.abs(y.values) <= 1.0)
 
@@ -157,15 +157,23 @@ class TestSynthesizeMeasurement:
         a = synthesize_measurement(src, grid)
         b = synthesize_measurement(src, grid)
         np.testing.assert_array_equal(a[1].values, b[1].values)
-        assert a[2].events == b[2].events
+        np.testing.assert_array_equal(a[2].k, b[2].k)
+        np.testing.assert_array_equal(a[2].c, b[2].c)
 
     def test_realized_fold_count_counts_wrap(self):
         from modsample.folding import ResidueSpec
 
         grid = UniformGrid(T=0.1, K=10)
         # one jump that never returns: circular differencing adds the wrap
-        spec = ResidueSpec(events=((0.3, 2.0),), tau=1.0)
+        spec = ResidueSpec(k=[3], c=[2.0], K=10, tau=1.0)
         assert realized_fold_count(spec, grid) == 2
+
+    def test_realized_fold_count_rejects_other_grid(self):
+        from modsample.folding import ResidueSpec
+
+        spec = ResidueSpec(k=[3], c=[2.0], K=10, tau=1.0)
+        with pytest.raises(ValueError, match="K=10"):
+            realized_fold_count(spec, UniformGrid(T=0.1, K=12))
 
 
 class TestExperimentConfig:
@@ -337,7 +345,7 @@ class TestRunExperiment:
         spectrum = _read_table(tmp_path / "spectrum.csv")
         assert list(spectrum) == ["n", "abs_ybar_dft", "abs_residue_model_dft"]
         spikes = np.zeros(cfg.K)
-        spikes[np.rint(fp.model.t / cfg.T).astype(int)] = fp.model.c
+        spikes[fp.support] = fp.amplitudes
         ybar = finite_difference(y.values, 1, circular=True)
         _assert_cells_equal(spectrum["n"], k)
         _assert_cells_equal(spectrum["abs_ybar_dft"], [abs(b) for b in np.fft.fft(ybar)])

@@ -1,10 +1,15 @@
 """Smoke test of the experiment scripts in scripts/: each main() runs to
-exit 0, and the quantization study's rows stay within their bounds."""
+exit 0, and the quantization study's rows stay within their bounds. The
+README's library tour runs as written."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name):
@@ -26,3 +31,16 @@ def test_scripts_run(capsys):
     assert rows["none"] <= 1e-10
     q = 2.0 / 2**8
     assert rows["8"] <= 100 * q * q / 12
+
+
+def test_readme_library_tour():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    run = subprocess.run(
+        [sys.executable, "-c", block], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+    )
+    assert run.returncode == 0, run.stderr
+    # the tour prints the calibrated MSE last
+    assert float(run.stdout.split()[-1]) < 1e-20
