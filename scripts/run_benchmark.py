@@ -39,15 +39,14 @@ def main(argv=None) -> int:
     print("-" * len(header))
     for label, P, amplitude, K, seed in CONFIGS:
         src = SyntheticSource(
-            P=P, tau=1.0, amplitude=amplitude, seed=seed,
+            P=P, tau=1.0, K=K, amplitude=amplitude, seed=seed,
             threshold=1.0, bits=args.bits,
         )
         out = None
         if args.output_dir:
             out = str(Path(args.output_dir) / label.replace(" ", "_").replace("/", "-"))
         cfg = ExperimentConfig(
-            T=1.0 / K, K=K, method="both", source=src,
-            threshold=1.0, output_dir=out,
+            method="both", source=src, threshold=1.0, output_dir=out,
         )
         m = run_experiment(cfg)
         mse_us = "failed" if m.get("MSE_US") is None else f"{m['MSE_US']:.2e}"

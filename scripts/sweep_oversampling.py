@@ -9,13 +9,14 @@ Usage:
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from modsample import UniformGrid, sampling_bounds
+from modsample import sampling_bounds
 from modsample.harness import (
     ExperimentConfig,
     SyntheticSource,
@@ -34,19 +35,17 @@ def main(argv=None) -> int:
     parser.add_argument("--output-dir", default=None)
     args = parser.parse_args(argv)
 
+    # probe the fold count on a fine grid first so K_min is meaningful
     src = SyntheticSource(
-        P=args.P, tau=1.0, amplitude=args.amplitude,
+        P=args.P, tau=1.0, K=512, amplitude=args.amplitude,
         seed=args.seed, threshold=1.0,
     )
-    # probe the fold count on a fine grid first so K_min is meaningful
-    probe = UniformGrid(T=1.0 / 512, K=512)
-    _, _, spec = synthesize_measurement(src, probe)
-    M = realized_fold_count(spec, probe)
+    _, _, spec = synthesize_measurement(src)
+    M = realized_fold_count(spec, src.grid)
     _, _, K_min = sampling_bounds(1.0, args.P, M)
     values = sorted({int(round(f * K_min)) for f in np.linspace(0.6, 8.0, 20)})
 
-    cfg = ExperimentConfig(T=1.0 / K_min, K=K_min, method="fp", source=src,
-                           threshold=1.0)
+    cfg = ExperimentConfig(method="fp", source=replace(src, K=K_min), threshold=1.0)
     rows = sweep(cfg, "K", values, output_dir=args.output_dir)
 
     print(f"P={args.P}, realized folds M={M}, K_min={K_min}")

@@ -29,10 +29,10 @@ def main(argv=None) -> int:
     print(f"{'bits':>5} {'q':>10} {'MSE_FD':>12}")
     for bits in (6, 8, 10, 12, 14, None):
         src = SyntheticSource(
-            P=args.P, tau=1.0, amplitude=args.amplitude, seed=args.seed,
-            threshold=1.0, bits=bits,
+            P=args.P, tau=1.0, K=args.K, amplitude=args.amplitude,
+            seed=args.seed, threshold=1.0, bits=bits,
         )
-        cfg = ExperimentConfig(T=1.0 / args.K, K=args.K, method="fp", source=src)
+        cfg = ExperimentConfig(method="fp", source=src)
         metrics = run_experiment(cfg)
         q = 2.0 / 2**bits if bits is not None else 0.0
         label = str(bits) if bits is not None else "none"

@@ -36,7 +36,6 @@ from .signal_model import (
     UniformGrid,
     dynamic_range,
     evaluate,
-    interpolate,
     quantize,
     sample,
     synthesize_random,

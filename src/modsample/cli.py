@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import folding, harness, recovery, signal_model
+from . import folding, harness, recovery
 from .exceptions import CaptureFormatError, ModsampleError
 
 
@@ -23,9 +23,7 @@ def _add_grid_args(p):
 
 def _add_recovery_args(p):
     p.add_argument("--M", type=int, help="number of residue jumps (after differencing)")
-    p.add_argument("--beta-g", type=float, help="max-norm bound for the baseline order rule")
     p.add_argument("--method", choices=["fp", "usf", "both"], default="fp")
-    p.add_argument("--calibrate", choices=["mean", "none"], default="mean")
     p.add_argument("--lambda-grid", type=str,
                    help="lo:hi:step grid for threshold optimization")
 
@@ -87,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_grid(args) -> tuple[float, float, int]:
-    """Fill in the missing one of (tau, T, K) from tau = K*T."""
+def _resolve_grid(args) -> tuple[float, int]:
+    """(tau, K) from any two of --tau, --T, --K, with tau = K*T."""
     tau, T, K = args.tau, args.T, args.K
     given = sum(v is not None for v in (tau, T, K))
     if given < 2:
@@ -104,7 +102,7 @@ def _resolve_grid(args) -> tuple[float, float, int]:
         K = int(round(tau / T))
     if abs(K * T - tau) > 1e-9 * tau:
         raise ValueError(f"inconsistent grid: K*T={K * T!r} but tau={tau!r}")
-    return tau, T, K
+    return tau, K
 
 
 def _parse_lambda_grid(text):
@@ -116,7 +114,8 @@ def _parse_lambda_grid(text):
     return tuple(float(v) for v in parts)
 
 
-def _synthetic_source(args, tau) -> harness.SyntheticSource:
+def _synthetic_source(args) -> harness.SyntheticSource:
+    tau, K = _resolve_grid(args)
     nonideality = None
     if args.delay_max or args.jitter or args.spurious_rate:
         nonideality = folding.NonIdealityConfig(
@@ -129,6 +128,7 @@ def _synthetic_source(args, tau) -> harness.SyntheticSource:
     return harness.SyntheticSource(
         P=args.P,
         tau=tau,
+        K=K,
         amplitude=amplitude,
         seed=args.seed,
         threshold=args.threshold,
@@ -138,10 +138,9 @@ def _synthetic_source(args, tau) -> harness.SyntheticSource:
 
 
 def _cmd_simulate(args) -> int:
-    tau, T, K = _resolve_grid(args)
-    src = _synthetic_source(args, tau)
-    grid = signal_model.UniformGrid(T=T, K=K)
-    gamma, y, spec = harness.synthesize_measurement(src, grid)
+    src = _synthetic_source(args)
+    grid = src.grid
+    gamma, y, spec = harness.synthesize_measurement(src)
     folds = harness.realized_fold_count(spec, grid)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -152,14 +151,14 @@ def _cmd_simulate(args) -> int:
         y.values,
         truth=gamma.values,
         metadata={
-            "tau": tau,
+            "tau": src.tau,
             "P": src.P,
             "seed": src.seed,
             "lambda": src.threshold,
             "folds": folds,
         },
     )
-    print(f"wrote {path} (K={K}, folds={folds})")
+    print(f"wrote {path} (K={src.K}, folds={folds})")
     return 0
 
 
@@ -171,9 +170,7 @@ def _cmd_recover(args) -> int:
         p_inflation=args.p_inflation,
         M=args.M,
         threshold=args.threshold,
-        beta_g=args.beta_g,
         lambda_grid=_parse_lambda_grid(args.lambda_grid),
-        calibrate=args.calibrate,
         output_dir=args.output_dir,
     )
     metrics = harness.run_experiment(cfg)
@@ -185,18 +182,12 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    tau, T, K = _resolve_grid(args)
-    src = _synthetic_source(args, tau)
     cfg = harness.ExperimentConfig(
-        T=T,
-        K=K,
         method=args.method,
-        source=src,
+        source=_synthetic_source(args),
         M=args.M,
         threshold=args.threshold,
-        beta_g=args.beta_g,
         lambda_grid=_parse_lambda_grid(args.lambda_grid),
-        calibrate=args.calibrate,
     )
     values = [v for v in args.values.split(",") if v]
     rows = harness.sweep(cfg, args.axis, values, output_dir=args.output_dir)

@@ -177,18 +177,18 @@ def finite_difference(s, N: int, circular: bool = False) -> np.ndarray:
     return out
 
 
-def choose_order(threshold: float, beta_g: float, T: float, Omega: float) -> int:
+def choose_order(threshold: float, beta: float, T: float, Omega: float) -> int:
     """Smallest difference order N >= 1 meeting the baseline selection rule
-    ceil((log lam - log beta_g) / log(T Omega e)), valid only for
+    ceil((log lam - log beta) / log(T Omega e)), valid only for
     T * Omega * e < 1."""
     rho = T * Omega * _EULER
     if rho >= 1.0:
         raise OversamplingInsufficientError(
             f"T*Omega*e = {rho:.6g} >= 1; baseline order rule has no solution"
         )
-    if beta_g < threshold:
-        raise ValueError("beta_g must be >= threshold")
-    n = int(np.ceil(np.log(threshold / beta_g) / np.log(rho) - 1e-12))
+    if beta < threshold:
+        raise ValueError("beta must be >= threshold")
+    n = int(np.ceil(np.log(threshold / beta) / np.log(rho) - 1e-12))
     return max(n, 1)
 
 

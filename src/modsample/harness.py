@@ -1,5 +1,10 @@
 """Experiment orchestration: configs, capture-file ingestion, metric and
-plot-table emission, and parameter sweeps."""
+plot-table emission, and parameter sweeps.
+
+The measurement source owns the grid: a synthetic source by its period and
+sample count, a capture by its time column. Recovery returns zero-mean
+estimates; when the source knows the truth, the written reconstructions
+are shifted to its mean."""
 
 from __future__ import annotations
 
@@ -19,24 +24,34 @@ _GRID_UNIFORMITY_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class SyntheticSource:
-    """Synthetic signal + fold-model description."""
+    """Synthetic signal + fold-model description. One period tau is sampled
+    at K points, which fixes the grid."""
 
     P: int
     tau: float
+    K: int
     amplitude: float
     seed: int
     threshold: float
     nonideality: Optional[folding.NonIdealityConfig] = None
     bits: Optional[int] = None  # quantize modulo samples when set
 
+    def __post_init__(self):
+        if self.K <= 0:
+            raise ValueError(f"K must be positive, got {self.K}")
+
+    @property
+    def grid(self) -> signal_model.UniformGrid:
+        return signal_model.UniformGrid(T=self.tau / self.K, K=self.K)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Description of one experiment run. A capture fixes the grid, so T and
-    K are required for synthetic sources only."""
+    """Description of one experiment run; the source, a synthetic one or a
+    capture file, fixes the grid. Recovery uses the bandwidth index
+    ceil(P_used * (1 + p_inflation)), with P_used defaulting to the
+    source's P, and M defaults to the source's fold count."""
 
-    T: Optional[float] = None
-    K: Optional[int] = None
     method: str = "fp"  # fp | usf | both
     source: Optional[SyntheticSource] = None
     capture_path: Optional[str] = None
@@ -44,20 +59,16 @@ class ExperimentConfig:
     p_inflation: float = 0.0
     M: Optional[int] = None
     threshold: Optional[float] = None  # baseline folding threshold
-    beta_g: Optional[float] = None
     lambda_grid: Optional[tuple] = None  # (lo, hi, step)
-    calibrate: str = "mean"  # mean | none
     output_dir: Optional[str] = None
 
     def __post_init__(self):
         if (self.source is None) == (self.capture_path is None):
             raise ValueError("exactly one of source and capture_path is required")
-        if self.source is not None and (self.T is None or self.K is None):
-            raise ValueError("T and K are required for synthetic sources")
         if self.method not in ("fp", "usf", "both"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.calibrate not in ("mean", "none"):
-            raise ValueError(f"unknown calibration mode {self.calibrate!r}")
+        if not self.p_inflation >= 0:
+            raise ValueError(f"p_inflation must be nonnegative, got {self.p_inflation!r}")
 
 
 @dataclass(frozen=True)
@@ -182,14 +193,14 @@ def _write_table(path, columns: dict, metadata=None):
     np.savetxt(path, data, fmt=fmt, delimiter=",", header="\n".join(lines), comments="")
 
 
-def synthesize_measurement(src: SyntheticSource, grid: signal_model.UniformGrid):
-    """Generate (gamma, y, residue_spec) for a synthetic source.
+def synthesize_measurement(src: SyntheticSource):
+    """Generate (gamma, y, residue_spec) on the grid of a synthetic source.
 
     Folds ideally at the threshold, optionally perturbs the folds with the
     non-ideality model, and optionally quantizes the modulo samples.
     """
     g = signal_model.synthesize_random(src.P, src.tau, src.amplitude, src.seed)
-    gamma = signal_model.sample(g, grid)
+    gamma = signal_model.sample(g, src.grid)
     _, residue = folding.fold_ideal(gamma, src.threshold)
     spec = folding.residue_spec_from_samples(residue, src.tau)
     if src.nonideality is not None:
@@ -232,10 +243,9 @@ def _flatten(prefix: str, value) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one experiment and write metrics / reconstruction / spectrum files.
 
-    A capture source fixes the grid, and M falls back to its ``folds``
-    metadata; the resolved T, K and M are echoed with the config. Returns
-    the metrics dict with unformatted values. Partial outputs are removed
-    on failure.
+    The metrics echo the config as given, plus the T, K and M the run
+    resolved. Returns the metrics dict with unformatted values. Partial
+    outputs are removed on failure.
     """
     out_dir = Path(cfg.output_dir) if cfg.output_dir else None
     try:
@@ -249,45 +259,35 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         raise
 
 
-def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
-    spec = None
+def _measure(cfg: ExperimentConfig):
+    """(grid, y, truth, tau, P, folds) of the configured source. A capture
+    may lack the truth column and the ``folds`` header (None), and its P is
+    the configured P_used."""
     if cfg.source is not None:
-        grid = signal_model.UniformGrid(T=cfg.T, K=cfg.K)
-        gamma, y, spec = synthesize_measurement(cfg.source, grid)
-        gamma_values = gamma.values
-        tau = cfg.source.tau
-        P_used = cfg.source.P if cfg.P_used is None else cfg.P_used
-    else:
-        capture = load_capture(cfg.capture_path)
-        if (cfg.K is not None and capture.K != cfg.K) or (
-            cfg.T is not None and abs(capture.T - cfg.T) > 1e-9 * cfg.T
-        ):
-            raise ValueError(
-                f"capture grid (T={capture.T}, K={capture.K}) does not match "
-                f"the configured grid (T={cfg.T}, K={cfg.K})"
-            )
-        if cfg.P_used is None:
-            raise ValueError("P_used is required for capture sources")
-        folds = capture.metadata.get("folds")
-        cfg = replace(
-            cfg,
-            T=capture.T if cfg.T is None else cfg.T,
-            K=capture.K,
-            M=int(folds) if cfg.M is None and folds is not None else cfg.M,
-        )
-        grid = signal_model.UniformGrid(T=cfg.T, K=cfg.K)
-        y = signal_model.SampleVector(values=capture.modulo, grid=grid)
-        gamma_values = capture.ground_truth
-        tau = float(capture.metadata["tau"])
-        P_used = cfg.P_used
-        if cfg.p_inflation > 0:
-            P_used = int(math.ceil(P_used * (1.0 + cfg.p_inflation)))
+        src = cfg.source
+        gamma, y, spec = synthesize_measurement(src)
+        P = src.P if cfg.P_used is None else cfg.P_used
+        return src.grid, y, gamma.values, src.tau, P, realized_fold_count(spec, src.grid)
+    capture = load_capture(cfg.capture_path)
+    if cfg.P_used is None:
+        raise ValueError("P_used is required for capture sources")
+    grid = signal_model.UniformGrid(T=capture.T, K=capture.K)
+    folds = capture.metadata.get("folds")
+    return (
+        grid,
+        signal_model.SampleVector(values=capture.modulo, grid=grid),
+        capture.ground_truth,
+        float(capture.metadata["tau"]),
+        cfg.P_used,
+        None if folds is None else int(folds),
+    )
 
-    if cfg.M is not None:
-        M = cfg.M
-    elif spec is not None:
-        M = realized_fold_count(spec, grid)
-    else:
+
+def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
+    grid, y, gamma_values, tau, P, folds = _measure(cfg)
+    P_used = int(math.ceil(P * (1.0 + cfg.p_inflation)))
+    M = cfg.M if cfg.M is not None else folds
+    if M is None:
         raise ValueError("M is required for capture sources")
 
     Omega = 2.0 * np.pi * P_used / tau if P_used > 0 else 0.0
@@ -296,7 +296,7 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
     metrics = _flatten("config", asdict(cfg))
     dr_y = signal_model.dynamic_range(y)
     metrics.update(
-        tau=tau, T=cfg.T, K=cfg.K, P_used=P_used, M=M,
+        tau=tau, T=grid.T, K=grid.K, P_used=P_used, M=M,
         T_FD=T_fd, T_US=T_us, K_min=K_min, DR_y=dr_y,
     )
     if gamma_values is not None:
@@ -304,16 +304,10 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
         metrics["DR_gamma"] = signal_model.dynamic_range(gamma_sv)
         metrics["DR_ratio"] = metrics["DR_gamma"] / dr_y
 
-    calibration = (
-        gamma_values if (cfg.calibrate == "mean" and gamma_values is not None) else None
-    )
-
     fp_report = None
     us_report = None
     if cfg.method in ("fp", "both"):
-        fp_report = recovery.fourier_prony_recover(
-            y, P_used, M, calibration_reference=calibration
-        )
+        fp_report = recovery.fourier_prony_recover(y, P_used, M)
         if gamma_values is not None:
             metrics["MSE_FD"] = recovery.calibrated_mse(
                 fp_report.gamma_hat.values, gamma_values
@@ -321,14 +315,10 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
     if cfg.method in ("usf", "both"):
         if cfg.threshold is None:
             raise ValueError("baseline recovery requires a folding threshold")
-        beta = cfg.beta_g
-        if beta is None:
-            ref = gamma_values if gamma_values is not None else y.values
-            beta = folding.round_beta(float(np.max(np.abs(ref))), cfg.threshold)
+        ref = gamma_values if gamma_values is not None else y.values
+        beta = folding.round_beta(float(np.max(np.abs(ref))), cfg.threshold)
         try:
-            us_report = recovery.usf_recover(
-                y, cfg.threshold, Omega, beta, calibration_reference=calibration
-            )
+            us_report = recovery.usf_recover(y, cfg.threshold, Omega, beta)
             if gamma_values is not None:
                 metrics["MSE_US"] = recovery.calibrated_mse(
                     us_report.gamma_hat.values, gamma_values
@@ -355,6 +345,8 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
                 metrics["USopt_error"] = str(exc)
 
     if out_dir is not None:
+        # recovery is zero-mean; shift the written estimates to the truth's mean
+        mean = 0.0 if gamma_values is None else float(np.mean(gamma_values))
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_metrics(out_dir / "metrics.txt", metrics)
         k = np.arange(grid.K)
@@ -365,8 +357,8 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
                 "t": k * grid.T,
                 "y": y.values,
                 "gamma_true": gamma_values,
-                "gamma_fd": fp_report.gamma_hat.values if fp_report else None,
-                "gamma_us": us_report.gamma_hat.values if us_report else None,
+                "gamma_fd": fp_report.gamma_hat.values + mean if fp_report else None,
+                "gamma_us": us_report.gamma_hat.values + mean if us_report else None,
                 "residue_fd": fp_report.residue_hat.values if fp_report else None,
                 "residue_us": us_report.residue_hat.values if us_report else None,
             },
@@ -430,22 +422,16 @@ def sweep(cfg: ExperimentConfig, axis: str, values, output_dir=None) -> list[dic
     return rows
 
 
-_SOURCE_FIELDS = {"P", "tau", "amplitude", "seed", "threshold", "bits"}
+_SOURCE_FIELDS = {"P", "tau", "K", "amplitude", "seed", "threshold", "bits"}
+_INT_FIELDS = {"P", "K", "seed", "bits", "M", "P_used"}
 
 
 def _set_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
+    cast = int if axis in _INT_FIELDS else float
     if axis in _SOURCE_FIELDS:
         if cfg.source is None:
             raise ValueError(f"axis {axis!r} requires a synthetic source")
-        caster = int if axis in ("P", "seed", "bits") else float
-        return replace(cfg, source=replace(cfg.source, **{axis: caster(value)}))
+        return replace(cfg, source=replace(cfg.source, **{axis: cast(value)}))
     if not hasattr(cfg, axis):
         raise ValueError(f"unknown config field {axis!r}")
-    value = (int if axis in ("K", "M", "P_used") else float)(value)
-    if axis == "K" and value <= 0:
-        raise ValueError(f"K must be positive, got {value}")
-    out = replace(cfg, **{axis: value})
-    if axis == "K" and cfg.source is not None:
-        # keep the one-period relation K*T = tau for synthetic sources
-        out = replace(out, T=cfg.source.tau / value)
-    return out
+    return replace(cfg, **{axis: cast(value)})

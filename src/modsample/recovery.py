@@ -1,10 +1,15 @@
 """End-to-end reconstruction: Fourier-Prony unfolding, the baseline
 higher-order-difference recovery, threshold optimization and sampling
-bounds."""
+bounds.
+
+Folded samples determine the signal only up to an additive constant, so
+every recovery returns the zero-mean estimate; matching the mean to a
+ground truth is left to the caller (the harness does it for its written
+tables, and `calibrated_mse` scores up to the constant)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -24,7 +29,8 @@ _EULER = float(np.e)
 class RecoveryReport:
     """Reconstructed unfolded samples plus diagnostics.
 
-    Invariant: gamma_hat == y + residue_hat + offset_applied elementwise.
+    Folding loses the signal's mean, so gamma_hat is the zero-mean estimate:
+    gamma_hat == y + residue_hat - mean(y + residue_hat) elementwise.
     The Fourier method also reports the spikes of the differenced residue:
     their sorted grid indices (`support`) and their `amplitudes`. Both are
     None for the baseline.
@@ -35,7 +41,6 @@ class RecoveryReport:
     support: Optional[np.ndarray]
     amplitudes: Optional[np.ndarray]
     method: str
-    offset_applied: float
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -80,19 +85,7 @@ def anti_difference(rbar) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(rbar)])
 
 
-def _apply_offset(raw_gamma: np.ndarray, calibration_reference) -> float:
-    if calibration_reference is None:
-        return -float(np.mean(raw_gamma))
-    ref = np.asarray(calibration_reference, dtype=float)
-    return float(np.mean(ref) - np.mean(raw_gamma))
-
-
-def fourier_prony_recover(
-    y: SampleVector,
-    P: int,
-    M: int,
-    calibration_reference=None,
-) -> RecoveryReport:
+def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
     """Unfold modulo samples by estimating the residue in the Fourier domain.
 
     Pipeline: circular first difference, DFT, out-of-band extraction, the
@@ -101,8 +94,9 @@ def fourier_prony_recover(
     the folded samples. Folding instants lie on the sampling grid by model,
     so the differenced residue is the fitted amplitudes placed at the
     support; the report carries the support as grid indices, never as
-    instants in seconds. The result is exact for noiseless folds whenever
-    K >= 2(P+M+1), and the folding threshold is never consulted.
+    instants in seconds. The result is exact up to the signal's mean for
+    noiseless folds whenever K >= 2(P+M+1), and the folding threshold is
+    never consulted.
 
     Parameters
     ----------
@@ -114,9 +108,6 @@ def fourier_prony_recover(
         Number of spikes in the circular first difference of the residue:
         the jumps, plus the wrap jump at the last sample when they do not
         cancel.
-    calibration_reference : array_like, optional
-        When given, the output offset matches this reference's mean instead
-        of normalizing to zero mean.
     """
     K = y.grid.K
     if M < 0:
@@ -128,14 +119,12 @@ def fourier_prony_recover(
     diagnostics: dict = {"M": M}
 
     if M == 0:
-        offset = _apply_offset(y.values, calibration_reference)
         return RecoveryReport(
-            gamma_hat=y.with_values(y.values + offset),
+            gamma_hat=y.with_values(y.values - np.mean(y.values)),
             residue_hat=y.with_values(np.zeros(K)),
             support=np.zeros(0, dtype=np.intp),
             amplitudes=np.zeros(0),
             method="fourier_prony",
-            offset_applied=offset,
             diagnostics=diagnostics,
         )
 
@@ -163,14 +152,12 @@ def fourier_prony_recover(
 
     # step 7: recombine with the folded samples
     raw_gamma = y.values + r_hat
-    offset = _apply_offset(raw_gamma, calibration_reference)
     return RecoveryReport(
-        gamma_hat=y.with_values(raw_gamma + offset),
+        gamma_hat=y.with_values(raw_gamma - np.mean(raw_gamma)),
         residue_hat=y.with_values(r_hat),
         support=k_hat,
         amplitudes=c_hat,
         method="fourier_prony",
-        offset_applied=offset,
         diagnostics=diagnostics,
     )
 
@@ -179,18 +166,19 @@ def usf_recover(
     y: SampleVector,
     threshold: float,
     Omega: float,
-    beta_g: float,
+    beta: float,
     N: int | None = None,
     strict: bool = True,
-    calibration_reference=None,
 ) -> RecoveryReport:
     """Baseline unfolding through higher-order finite differences.
 
     Estimates the order-N difference of the residue from the modulo identity,
-    then anti-differences N times. At each integration stage the unknown
-    constant (a multiple of 2*threshold) is fixed by minimizing the max norm
-    of the partially reconstructed differences, which the bandlimited
-    shrinkage bound (T*Omega*e)^n * beta_g keeps small for genuine signals.
+    then anti-differences N times and returns the zero-mean estimate. At each
+    integration stage the unknown constant (a multiple of 2*threshold) is
+    fixed by minimizing the max norm of the partially reconstructed
+    differences, which the bandlimited shrinkage bound (T*Omega*e)^n * beta
+    keeps small for genuine signals; beta bounds max|gamma| (see
+    `folding.round_beta`).
 
     With `strict`, a stage whose best constant still violates that bound
     raises FoldConsistencyError: the data is inconsistent with ideal
@@ -199,7 +187,7 @@ def usf_recover(
     T = y.grid.T
     rho = T * Omega * _EULER
     if N is None:
-        N = folding.choose_order(threshold, beta_g, T, Omega)
+        N = folding.choose_order(threshold, beta, T, Omega)
     if N < 1:
         raise ValueError("difference order must be >= 1")
     lam = threshold
@@ -213,7 +201,7 @@ def usf_recover(
     )
     rho_n = 2.0 * lam * k_mult
 
-    bound_slack = 1e-6 * beta_g
+    bound_slack = 1e-6 * beta
     for n in range(N, 0, -1):
         rho_n = anti_difference(rho_n)
         rho_n = 2.0 * lam * np.round(rho_n / (2.0 * lam))
@@ -225,7 +213,7 @@ def usf_recover(
         s = dy + rho_n
         kappa = np.round(-(np.max(s) + np.min(s)) / (4.0 * lam))
         rho_n = rho_n + 2.0 * lam * kappa
-        stage_bound = rho ** (n - 1) * beta_g
+        stage_bound = rho ** (n - 1) * beta
         stage_norm = float(np.max(np.abs(dy + rho_n)))
         diagnostics[f"stage_{n - 1}_excess"] = stage_norm - stage_bound
         if strict and stage_norm > stage_bound + bound_slack:
@@ -236,14 +224,12 @@ def usf_recover(
             )
 
     raw_gamma = y.values + rho_n
-    offset = _apply_offset(raw_gamma, calibration_reference)
     return RecoveryReport(
-        gamma_hat=y.with_values(raw_gamma + offset),
+        gamma_hat=y.with_values(raw_gamma - np.mean(raw_gamma)),
         residue_hat=y.with_values(rho_n),
         support=None,
         amplitudes=None,
         method="usf",
-        offset_applied=offset,
         diagnostics=diagnostics,
     )
 
@@ -259,7 +245,7 @@ def optimize_lambda(
 ):
     """Grid search for the folding threshold minimizing the calibrated MSE of
     the baseline reconstruction against a reference; ties break toward the
-    smallest threshold."""
+    smallest threshold. Returns the threshold and its zero-mean report."""
     if lo <= 0 or hi < lo or step <= 0:
         raise ValueError("need 0 < lo <= hi and step > 0")
     if gamma_ref.grid != y.grid:
@@ -272,14 +258,11 @@ def optimize_lambda(
             beta = folding.round_beta(
                 float(np.max(np.abs(gamma_ref.values))), lam
             )
-            report = usf_recover(
-                y, lam, Omega, beta, N=N, strict=False,
-                calibration_reference=gamma_ref.values,
-            )
+            report = usf_recover(y, lam, Omega, beta, N=N, strict=False)
         except Exception as exc:  # record and keep scanning
             errors.append((float(lam), str(exc)))
             continue
-        err = mse(report.gamma_hat.values, gamma_ref.values)
+        err = calibrated_mse(report.gamma_hat.values, gamma_ref.values)
         if best is None or err < best[1] - 1e-15:
             best = (float(lam), err, report)
     if best is None:
@@ -289,12 +272,4 @@ def optimize_lambda(
     lam_opt, err, report = best
     report.diagnostics["lambda_opt"] = lam_opt
     report.diagnostics["lambda_opt_mse"] = err
-    return lam_opt, RecoveryReport(
-        gamma_hat=report.gamma_hat,
-        residue_hat=report.residue_hat,
-        support=None,
-        amplitudes=None,
-        method="usf_opt",
-        offset_applied=report.offset_applied,
-        diagnostics=report.diagnostics,
-    )
+    return lam_opt, replace(report, method="usf_opt")

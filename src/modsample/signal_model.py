@@ -1,13 +1,11 @@
 """Periodic bandlimited signals (trigonometric polynomials): synthesis,
-sampling, Fourier-domain interpolation, quantization and dynamic range."""
+sampling, quantization and dynamic range."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .exceptions import UndersampledError
 
 # relative tolerance used to verify that evaluated signals are real
 _REAL_RTOL = 1e-9
@@ -55,11 +53,6 @@ class TrigPolynomial:
     def omega0(self) -> float:
         """Fundamental harmonic 2*pi/tau in rad/s."""
         return 2.0 * np.pi / self.tau
-
-    @property
-    def omega_max(self) -> float:
-        """Highest angular frequency P * omega0 in rad/s."""
-        return self.P * self.omega0
 
 
 @dataclass(frozen=True)
@@ -181,25 +174,6 @@ def sample(g: TrigPolynomial, grid: UniformGrid) -> SampleVector:
             f"grid span K*T={grid.span!r} does not match the period tau={g.tau!r}"
         )
     return SampleVector(values=_on_grid(g, grid.K), grid=grid)
-
-
-def interpolate(samples: SampleVector, P: int, t_query) -> np.ndarray | float:
-    """Bandlimited interpolation of one-period samples at arbitrary times.
-
-    Works in the Fourier domain: the K-point DFT is restricted to the 2P+1
-    in-band bins and re-evaluated as a trigonometric polynomial. Exact for
-    noiseless samples of a degree-P signal.
-    """
-    K = samples.grid.K
-    if K < 2 * P + 1:
-        raise UndersampledError(f"K={K} < 2P+1={2 * P + 1} samples")
-    p_idx = np.arange(-P, P + 1)
-    coeffs = np.fft.fft(samples.values)[p_idx % K] / K
-    tau = samples.grid.span
-    t_arr = np.atleast_1d(np.asarray(t_query, dtype=float))
-    vals = np.exp(2j * np.pi / tau * np.outer(t_arr, p_idx)) @ coeffs
-    out = vals.real
-    return out if np.ndim(t_query) else float(out[0])
 
 
 def quantize(samples: SampleVector, bits: int, full_scale: float) -> SampleVector:

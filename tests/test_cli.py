@@ -80,13 +80,6 @@ class TestRecover:
         assert float(metrics["MSE_FD"]) < 1e-10
         assert float(metrics["MSE_US"]) < 1e-10
 
-    def test_m_defaults_to_capture_metadata_free_run(self, tmp_path):
-        # M is taken from --M; without it recovery still works because the
-        # simulated capture records the fold count used during synthesis
-        capture = _simulate(tmp_path)
-        text = capture.read_text()
-        assert "# folds =" in text
-
     def test_m_taken_from_folds_header(self, tmp_path, capsys):
         capture = _simulate(tmp_path)
         folds = int(capture.read_text().split("# folds = ")[1].splitlines()[0])
@@ -96,7 +89,8 @@ class TestRecover:
              "--output-dir", str(out)]
         ) == 0
         metrics = (out / "metrics.txt").read_text().splitlines()
-        assert f"M = {folds}" in metrics and f"config.M = {folds}" in metrics
+        # the resolved M is reported; the config echo keeps M as given (unset)
+        assert f"M = {folds}" in metrics and "config.M = " in metrics
         # without the header M must be given
         bare = tmp_path / "bare.csv"
         bare.write_text(
@@ -132,6 +126,16 @@ class TestRecover:
                   "--output-dir", str(tmp_path / "rec")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--calibrate", "mean"), ("--beta-g", "6")])
+    def test_removed_knobs_are_argument_errors(self, tmp_path, flag, value):
+        # recovery is zero-mean and the harness matches the truth's mean;
+        # the baseline's max-norm bound comes from the data
+        capture = _simulate(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["recover", "--input", str(capture), "--P", "6", flag, value,
+                  "--output-dir", str(tmp_path / "rec")])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize(
         "line", ["# tau = oops", "# dc_offset = abc", "# folds = 2.5"]
     )
@@ -152,7 +156,7 @@ class TestRecover:
         code = main(
             ["recover", "--input", str(capture), "--P", "6", "--M", "14",
              "--lambda", "1", "--method", "both",
-             "--calibrate", "mean", "--p-inflation", "0",
+             "--p-inflation", "0",
              "--lambda-grid", "0.55:1.45:0.01", "--output-dir", str(out)]
         )
         assert code == 0
@@ -169,6 +173,15 @@ class TestRecover:
         ) == 0
         metrics = (out / "metrics.txt").read_text()
         assert "P_used = 8" in metrics
+
+    def test_negative_p_inflation_is_config_error(self, tmp_path, capsys):
+        capture = _simulate(tmp_path)
+        code = main(
+            ["recover", "--input", str(capture), "--P", "6", "--p-inflation", "-0.5",
+             "--output-dir", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "p_inflation must be nonnegative" in capsys.readouterr().err
 
     def test_missing_input_is_io_error(self, tmp_path):
         code = main(
@@ -255,6 +268,16 @@ class TestSweep:
              "--output-dir", str(tmp_path / "sw")]
         )
         assert code == 2
+
+    def test_grid_step_is_not_an_axis(self, tmp_path, capsys):
+        # the source fixes T = tau/K; sweep K or tau instead
+        code = main(
+            ["sweep", "--tau", "1.0", "--K", "96", "--P", "4", "--lambda", "1",
+             "--axis", "T", "--values", "0.01,0.02",
+             "--output-dir", str(tmp_path / "sw")]
+        )
+        assert code == 2
+        assert "unknown config field 'T'" in capsys.readouterr().err
 
     def test_zero_k_is_config_error(self, tmp_path, capsys):
         code = main(

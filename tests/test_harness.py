@@ -1,6 +1,8 @@
 """Unit tests for the experiment harness: capture I/O, orchestration,
 metrics emission and parameter sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -128,20 +130,25 @@ class TestLoadCapture:
 
 class TestSynthesizeMeasurement:
     def _source(self, **kwargs):
-        defaults = dict(P=3, tau=1.0, amplitude=4.0, seed=8, threshold=1.0)
+        defaults = dict(P=3, tau=1.0, K=64, amplitude=4.0, seed=8, threshold=1.0)
         defaults.update(kwargs)
         return SyntheticSource(**defaults)
 
+    def test_source_owns_the_grid(self):
+        assert self._source(tau=2.0).grid == UniformGrid(T=2.0 / 64, K=64)
+        for K in (0, -3):
+            with pytest.raises(ValueError, match="K must be positive"):
+                self._source(K=K)
+
     def test_ideal_decomposition(self):
-        grid = UniformGrid(T=1.0 / 64, K=64)
-        gamma, y, spec = synthesize_measurement(self._source(), grid)
+        gamma, y, spec = synthesize_measurement(self._source())
+        assert gamma.grid == y.grid == self._source().grid
         r = spec.values()
         np.testing.assert_allclose(gamma.values - r, y.values, atol=1e-12)
         assert np.all(np.abs(y.values) <= 1.0)
 
     def test_quantization_applied(self):
-        grid = UniformGrid(T=1.0 / 64, K=64)
-        _, y, _ = synthesize_measurement(self._source(bits=8), grid)
+        _, y, _ = synthesize_measurement(self._source(bits=8))
         q = 2.0 / 256
         np.testing.assert_allclose(
             (y.values / q - 0.5) - np.round(y.values / q - 0.5),
@@ -150,12 +157,11 @@ class TestSynthesizeMeasurement:
         )
 
     def test_nonideality_deterministic(self):
-        grid = UniformGrid(T=1.0 / 64, K=64)
         src = self._source(
             nonideality=NonIdealityConfig(delay_max_samples=2, threshold_jitter=0.2)
         )
-        a = synthesize_measurement(src, grid)
-        b = synthesize_measurement(src, grid)
+        a = synthesize_measurement(src)
+        b = synthesize_measurement(src)
         np.testing.assert_array_equal(a[1].values, b[1].values)
         np.testing.assert_array_equal(a[2].k, b[2].k)
         np.testing.assert_array_equal(a[2].c, b[2].c)
@@ -177,30 +183,25 @@ class TestSynthesizeMeasurement:
 
 
 class TestExperimentConfig:
+    _SRC = SyntheticSource(P=1, tau=1.0, K=10, amplitude=1.0, seed=0, threshold=1.0)
+
     def test_exactly_one_source(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(T=0.1, K=10)
+            ExperimentConfig()
         with pytest.raises(ValueError):
-            ExperimentConfig(
-                T=0.1,
-                K=10,
-                source=SyntheticSource(P=1, tau=1.0, amplitude=1.0, seed=0, threshold=1.0),
-                capture_path="x.csv",
-            )
+            ExperimentConfig(source=self._SRC, capture_path="x.csv")
 
-    def test_method_and_calibrate_validated(self):
-        src = SyntheticSource(P=1, tau=1.0, amplitude=1.0, seed=0, threshold=1.0)
+    def test_method_and_p_inflation_validated(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(T=0.1, K=10, source=src, method="bogus")
-        with pytest.raises(ValueError):
-            ExperimentConfig(T=0.1, K=10, source=src, calibrate="bogus")
+            ExperimentConfig(source=self._SRC, method="bogus")
+        for bad in (-0.5, float("nan")):
+            with pytest.raises(ValueError, match="p_inflation must be nonnegative"):
+                ExperimentConfig(source=self._SRC, p_inflation=bad)
 
 
 def _synthetic_config(tmp_path=None, **kwargs):
-    src = SyntheticSource(P=4, tau=1.0, amplitude=4.0, seed=3, threshold=1.0)
+    src = SyntheticSource(P=4, tau=1.0, K=96, amplitude=4.0, seed=3, threshold=1.0)
     defaults = dict(
-        T=1.0 / 96,
-        K=96,
         method="both",
         source=src,
         threshold=1.0,
@@ -237,9 +238,12 @@ class TestRunExperiment:
     def test_metrics_echo_full_config(self, tmp_path):
         metrics = run_experiment(_synthetic_config(tmp_path))
         config_keys = [k for k in metrics if k.startswith("config.")]
-        for field in ("config.T", "config.K", "config.method",
-                      "config.source.P", "config.source.seed", "config.calibrate"):
+        for field in ("config.method", "config.source.P", "config.source.K",
+                      "config.source.seed", "config.p_inflation"):
             assert field in config_keys, field
+        # the grid is the source's: echoed once, as resolved
+        assert "config.T" not in metrics and "config.K" not in metrics
+        assert (metrics["T"], metrics["K"]) == (1.0 / 96, 96)
 
     def test_deterministic_outputs(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
@@ -257,34 +261,32 @@ class TestRunExperiment:
     def test_large_scale_with_quantization(self):
         # P=37, K=455 with an amplitude giving exactly 20 realized folds
         src = SyntheticSource(
-            P=37, tau=1.0, amplitude=1.6, seed=0, threshold=1.0, bits=8
+            P=37, tau=1.0, K=455, amplitude=1.6, seed=0, threshold=1.0, bits=8
         )
-        cfg = ExperimentConfig(T=1.0 / 455, K=455, method="fp", source=src)
-        metrics = run_experiment(cfg)
+        metrics = run_experiment(ExperimentConfig(method="fp", source=src))
         assert int(metrics["M"]) == 20
         assert float(metrics["MSE_FD"]) < 1e-3
         # same configuration without quantization is exact
-        cfg_clean = ExperimentConfig(
-            T=1.0 / 455, K=455, method="fp",
-            source=SyntheticSource(P=37, tau=1.0, amplitude=1.6, seed=0, threshold=1.0),
-        )
+        cfg_clean = ExperimentConfig(method="fp", source=replace(src, bits=None))
         assert float(run_experiment(cfg_clean)["MSE_FD"]) < 1e-10
 
     def test_capture_without_truth(self, tmp_path):
-        src_cfg = _synthetic_config()
-        grid = UniformGrid(T=src_cfg.T, K=src_cfg.K)
-        _, y, spec = synthesize_measurement(src_cfg.source, grid)
+        src = _synthetic_config().source
+        _, y, spec = synthesize_measurement(src)
         path = tmp_path / "cap.csv"
-        write_capture(path, grid.times, y.values, metadata={"tau": repr(1.0)})
-        M = realized_fold_count(spec, grid)
+        write_capture(path, src.grid.times, y.values, metadata={"tau": repr(1.0)})
+        M = realized_fold_count(spec, src.grid)
         cfg = ExperimentConfig(
-            T=src_cfg.T, K=src_cfg.K, method="fp",
-            capture_path=str(path), P_used=4, M=M,
+            method="fp", capture_path=str(path), P_used=4, M=M,
+            output_dir=str(tmp_path / "out"),
         )
         metrics = run_experiment(cfg)
         assert "MSE_FD" not in metrics
         assert "DR_ratio" not in metrics
         assert "DR_y" in metrics
+        # with no truth to match, the zero-mean estimate is written as is
+        recon = _read_table(tmp_path / "out" / "reconstruction.csv")
+        _assert_cells_equal(recon["gamma_fd"], fourier_prony_recover(y, 4, M).gamma_hat.values)
 
     def test_capture_fixes_grid_and_m(self, tmp_path):
         path = _write(tmp_path, "# folds = 0\n" + THREE_COL)
@@ -292,59 +294,48 @@ class TestRunExperiment:
             ExperimentConfig(method="fp", capture_path=str(path), P_used=0)
         )
         assert (metrics["T"], metrics["K"], metrics["M"]) == (0.1, 4, 0)
-        assert metrics["config.T"] == 0.1 and metrics["config.K"] == 4
-        assert metrics["config.M"] == 0
-        with pytest.raises(ValueError, match="does not match"):
-            run_experiment(
-                ExperimentConfig(K=5, method="fp", capture_path=str(path), P_used=0)
-            )
-        with pytest.raises(ValueError, match="does not match"):
-            run_experiment(
-                ExperimentConfig(T=0.2, method="fp", capture_path=str(path), P_used=0)
-            )
+        # the config is echoed as given
+        assert metrics["config.M"] is None
 
     def test_capture_requires_m_and_p(self, tmp_path):
         path = _write(tmp_path, THREE_COL)
-        with pytest.raises(ValueError):
-            run_experiment(
-                ExperimentConfig(T=0.1, K=4, method="fp", capture_path=str(path), P_used=1)
-            )
-        with pytest.raises(ValueError):
-            run_experiment(
-                ExperimentConfig(T=0.1, K=4, method="fp", capture_path=str(path), M=0)
-            )
+        with pytest.raises(ValueError, match="M is required"):
+            run_experiment(ExperimentConfig(method="fp", capture_path=str(path), P_used=1))
+        with pytest.raises(ValueError, match="P_used is required"):
+            run_experiment(ExperimentConfig(method="fp", capture_path=str(path), M=0))
 
     @pytest.mark.parametrize("method", ["fp", "both"])
     def test_tables_hold_the_recovery_arrays(self, tmp_path, method):
         cfg = _synthetic_config(tmp_path, method=method)
         run_experiment(cfg)
         src = cfg.source
-        grid = UniformGrid(T=cfg.T, K=cfg.K)
-        gamma, y, spec = synthesize_measurement(src, grid)
-        fp = fourier_prony_recover(
-            y, src.P, realized_fold_count(spec, grid), calibration_reference=gamma.values
-        )
+        grid = src.grid
+        gamma, y, spec = synthesize_measurement(src)
+        fp = fourier_prony_recover(y, src.P, realized_fold_count(spec, grid))
+        # the written estimates are the zero-mean ones shifted to the truth's mean
+        mean = np.mean(gamma.values)
         recon = _read_table(tmp_path / "reconstruction.csv")
         assert list(recon) == ["k", "t", "y", "gamma_true", "gamma_fd",
                                "gamma_us", "residue_fd", "residue_us"]
-        k = np.arange(cfg.K)
-        expected = {"k": k, "t": k * cfg.T, "y": y.values, "gamma_true": gamma.values,
-                    "gamma_fd": fp.gamma_hat.values, "residue_fd": fp.residue_hat.values}
+        k = np.arange(grid.K)
+        expected = {"k": k, "t": k * grid.T, "y": y.values, "gamma_true": gamma.values,
+                    "gamma_fd": fp.gamma_hat.values + mean,
+                    "residue_fd": fp.residue_hat.values}
         if method == "fp":
             assert set(recon["gamma_us"]) == set(recon["residue_us"]) == {""}
         else:
             us = usf_recover(
                 y, src.threshold, 2 * np.pi * src.P / src.tau,
                 round_beta(float(np.max(np.abs(gamma.values))), src.threshold),
-                calibration_reference=gamma.values,
             )
-            expected.update(gamma_us=us.gamma_hat.values, residue_us=us.residue_hat.values)
+            expected.update(gamma_us=us.gamma_hat.values + mean,
+                            residue_us=us.residue_hat.values)
         for name, values in expected.items():
             _assert_cells_equal(recon[name], values)
 
         spectrum = _read_table(tmp_path / "spectrum.csv")
         assert list(spectrum) == ["n", "abs_ybar_dft", "abs_residue_model_dft"]
-        spikes = np.zeros(cfg.K)
+        spikes = np.zeros(grid.K)
         spikes[fp.support] = fp.amplitudes
         ybar = finite_difference(y.values, 1, circular=True)
         _assert_cells_equal(spectrum["n"], k)
@@ -388,6 +379,11 @@ class TestSweep:
         rows = sweep(_synthetic_config(method="fp"), "seed", [1, 2])
         assert len(rows) == 2
         assert all(row["error"] == "" for row in rows)
+
+    def test_tau_axis_keeps_the_grid_on_one_period(self):
+        rows = sweep(_synthetic_config(method="fp"), "tau", [1.0, 2.0])
+        assert [row["error"] for row in rows] == ["", ""]
+        assert [row["T"] for row in rows] == [1.0 / 96, 2.0 / 96]
 
     def test_unknown_axis(self):
         with pytest.raises(ValueError):

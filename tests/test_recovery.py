@@ -176,21 +176,12 @@ class TestFourierPronyRecover:
         assert calibrated_mse(report.gamma_hat.values, trial.gamma.values) < 1e-10
 
     def test_report_consistency(self):
+        # gamma_hat = y + residue_hat up to one constant, which makes it zero-mean
         trial = fixpoint_trial(seed=21, P=4, amplitude=5.0)
         report = fourier_prony_recover(trial.y, trial.P, trial.M)
-        reassembled = (
-            report.gamma_hat.values - report.residue_hat.values - report.offset_applied
-        )
-        np.testing.assert_allclose(reassembled, trial.y.values, atol=1e-12)
-
-    def test_calibration_reference(self):
-        trial = fixpoint_trial(seed=21, P=4, amplitude=5.0)
-        report = fourier_prony_recover(
-            trial.y, trial.P, trial.M, calibration_reference=trial.gamma.values
-        )
-        assert np.mean(report.gamma_hat.values) == pytest.approx(
-            np.mean(trial.gamma.values), abs=1e-9
-        )
+        offset = report.gamma_hat.values - report.residue_hat.values - trial.y.values
+        np.testing.assert_allclose(offset, offset[0], atol=1e-12)
+        assert np.mean(report.gamma_hat.values) == pytest.approx(0.0, abs=1e-12)
 
     def test_undersampled_rejected(self):
         y = _sv(np.zeros(8))
@@ -232,6 +223,9 @@ class TestUsfRecover:
         report = usf_recover(y, 1.0, Omega, beta)
         assert calibrated_mse(report.gamma_hat.values, gamma.values) < 1e-20
         assert report.diagnostics["N"] >= 1
+        # the same contract as the Fourier method: y + residue_hat, centred
+        raw = y.values + report.residue_hat.values
+        np.testing.assert_array_equal(report.gamma_hat.values, raw - np.mean(raw))
 
     def test_nonideal_folds_detected_or_wrong(self):
         gamma, y, Omega, beta = self._oversampled(seed=12, P=2, K=256)
@@ -272,6 +266,16 @@ class TestOptimizeLambda:
         assert abs(lam_opt - 1.0) <= 0.01 + 1e-12
         assert report.method == "usf_opt"
 
+    def test_report_is_the_baseline_at_the_optimum(self):
+        gamma, y, Omega = self._folded_at(1.0)
+        lam_opt, report = optimize_lambda(y, gamma, Omega, 0.55, 1.45, 0.01)
+        beta = round_beta(float(np.max(np.abs(gamma.values))), lam_opt)
+        at_opt = usf_recover(y, lam_opt, Omega, beta, strict=False)
+        np.testing.assert_array_equal(report.gamma_hat.values, at_opt.gamma_hat.values)
+        assert report.diagnostics["lambda_opt_mse"] == calibrated_mse(
+            at_opt.gamma_hat.values, gamma.values
+        )
+
     def test_detects_miscalibrated_threshold(self):
         # hardware folded at 0.9 while the nominal threshold is 1.0
         gamma, y, Omega = self._folded_at(0.9)
@@ -301,10 +305,5 @@ class TestBackwardsCompatibility:
         beta = round_beta(float(np.max(np.abs(gamma.values))), 1.0)
         fp = fourier_prony_recover(y, 3, M)
         us = usf_recover(y, 1.0, Omega, beta)
-        rms = np.sqrt(
-            mse(
-                fp.gamma_hat.values - np.mean(fp.gamma_hat.values),
-                us.gamma_hat.values - np.mean(us.gamma_hat.values),
-            )
-        )
-        assert rms < 1e-8
+        # both estimates are zero-mean, so they compare directly
+        assert np.sqrt(mse(fp.gamma_hat.values, us.gamma_hat.values)) < 1e-8

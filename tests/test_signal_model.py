@@ -1,5 +1,5 @@
 """Unit tests for the bandlimited-signal model: synthesis, evaluation,
-sampling, interpolation, quantization and dynamic range."""
+sampling, quantization and dynamic range."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from modsample import (
     SampleVector,
     TrigPolynomial,
-    UndersampledError,
     UniformGrid,
     dynamic_range,
     evaluate,
-    interpolate,
     quantize,
     sample,
     synthesize_random,
@@ -40,7 +38,6 @@ class TestTrigPolynomial:
     def test_frequencies(self):
         g = cosine_signal(tau=2.0)
         assert g.omega0 == pytest.approx(np.pi)
-        assert g.omega_max == pytest.approx(np.pi)
 
 
 class TestSynthesizeRandom:
@@ -127,37 +124,6 @@ class TestSample:
         object.__setattr__(g, "coeffs", np.array([0.5, 0.0, 0.5 + 0.5j]))
         with pytest.raises(AssertionError, match="imaginary part"):
             sample(g, UniformGrid(T=0.25, K=4))
-
-
-class TestInterpolate:
-    def test_cosine_off_grid(self):
-        sv = sample(cosine_signal(), UniformGrid(T=0.125, K=8))
-        assert interpolate(sv, 1, 0.125) == pytest.approx(
-            np.cos(2 * np.pi * 0.125), abs=1e-10
-        )
-
-    def test_identity_at_samples(self):
-        g = synthesize_random(P=4, tau=1.0, amplitude=2.0, seed=3)
-        grid = UniformGrid(T=1.0 / 16, K=16)
-        sv = sample(g, grid)
-        np.testing.assert_allclose(interpolate(sv, 4, grid.times), sv.values, atol=1e-10)
-
-    def test_constant(self):
-        sv = SampleVector(values=np.full(5, 2.5), grid=UniformGrid(T=0.2, K=5))
-        assert interpolate(sv, 0, 0.137) == pytest.approx(2.5)
-
-    def test_round_trip_on_finer_grid(self):
-        g = synthesize_random(P=6, tau=1.0, amplitude=3.0, seed=9)
-        sv = sample(g, UniformGrid(T=1.0 / 20, K=20))
-        t_fine = np.linspace(0.0, 1.0, 101)
-        np.testing.assert_allclose(
-            interpolate(sv, 6, t_fine), evaluate(g, t_fine), atol=1e-10
-        )
-
-    def test_undersampled(self):
-        sv = SampleVector(values=np.zeros(4), grid=UniformGrid(T=0.25, K=4))
-        with pytest.raises(UndersampledError):
-            interpolate(sv, 2, 0.1)
 
 
 def _sv(values):
