@@ -171,7 +171,7 @@ def finite_difference(s, N: int, circular: bool = False) -> np.ndarray:
         raise ValueError(f"need more than N={N} samples, got {len(out)}")
     for _ in range(N):
         if circular:
-            out = np.roll(out, -1) - out
+            out = np.concatenate((out[1:], out[:1])) - out
         else:
             out = out[1:] - out[:-1]
     return out

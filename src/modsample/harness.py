@@ -315,8 +315,22 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
     if cfg.method in ("usf", "both"):
         if cfg.threshold is None:
             raise ValueError("baseline recovery requires a folding threshold")
-        ref = gamma_values if gamma_values is not None else y.values
-        beta = folding.round_beta(float(np.max(np.abs(ref))), cfg.threshold)
+        # the max-norm bound comes from the truth, or else from the Fourier
+        # estimate; the folded samples cannot give it, as |y| <= threshold.
+        # The estimate is zero-mean, and the baseline shifts its own by
+        # multiples of 2*threshold until the midrange is within threshold of
+        # 0, so half the estimate's range plus the threshold bounds it
+        if gamma_values is not None:
+            gamma_inf = float(np.max(np.abs(gamma_values)))
+        elif fp_report is not None:
+            gamma_inf = float(np.ptp(fp_report.gamma_hat.values)) / 2 + cfg.threshold
+        else:
+            raise ValueError(
+                "baseline recovery needs the max-norm bound beta of the signal, "
+                "and the capture has no truth column; use --method both to take "
+                "it from the Fourier estimate"
+            )
+        beta = folding.round_beta(gamma_inf, cfg.threshold)
         try:
             us_report = recovery.usf_recover(y, cfg.threshold, Omega, beta)
             if gamma_values is not None:

@@ -98,6 +98,10 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
     noiseless folds whenever K >= 2(P+M+1), and the folding threshold is
     never consulted.
 
+    The amplitudes are fitted on the out-of-band bins n <= K/2 only: the
+    other half are their conjugates. ``diagnostics["fit_residual"]`` is
+    the residual norm of that half-band fit.
+
     Parameters
     ----------
     y : SampleVector
@@ -139,8 +143,11 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
         k_hat = spectral.grid_support(z, K, M)
     except ValueError as exc:
         raise RecoveryError(str(exc), step=4) from exc
-    # z = -spike spectrum on the out-of-band set, hence the sign flip
-    c_hat, residual = spectral.amplitudes_ls(-z, n_idx, k_hat, K)
+    # z = -spike spectrum on the out-of-band set, hence the sign flip; the
+    # spike train is real, so bin K-n is the conjugate of bin n and the bins
+    # n <= K/2 carry every equation
+    half = n_idx <= K // 2
+    c_hat, residual = spectral.amplitudes_ls(-z[half], n_idx[half], k_hat, K)
     diagnostics["fit_residual"] = residual
 
     # step 5: the differenced residue is c_hat at the support

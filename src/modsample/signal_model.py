@@ -107,10 +107,9 @@ def synthesize_random(P: int, tau: float, amplitude: float, seed) -> TrigPolynom
     Gaussian, negative harmonics follow by conjugation, and everything is
     rescaled so the dense-grid maximum of |g| equals `amplitude` (1% accurate
     by construction of the estimation grid). The dense grid is the
-    N = 16384 points k*tau/N, evaluated with one inverse FFT of the
-    coefficients placed at bins p mod N; for 2P+1 > N, harmonics p and
-    p + N would share a bin and the peak would be that of the aliased
-    samples.
+    N = 16384 points k*tau/N, evaluated by :func:`_on_grid` with one
+    half-spectrum inverse real FFT; for 2P+1 > N, harmonics p and p + N
+    would share a bin and the peak would be that of the aliased samples.
     """
     if P < 0:
         raise ValueError(f"P must be nonnegative, got {P}")
@@ -143,12 +142,24 @@ def evaluate(g: TrigPolynomial, t) -> np.ndarray | float:
 
 
 def _on_grid(g: TrigPolynomial, N: int) -> np.ndarray:
-    """g at the N points k*tau/N, k = 0..N-1, by one inverse FFT of the
-    coefficients placed at bins p mod N; coefficients that share a bin
-    (N < 2P+1) add, as sampling at that rate aliases them."""
+    """g at the N points k*tau/N, k = 0..N-1.
+
+    The coefficients are placed at bins p mod N; coefficients that share a
+    bin (N < 2P+1) add, as sampling at that rate aliases them. The placed
+    spectrum is Hermitian, so one inverse real FFT of its bins 0..N//2
+    gives the samples. That transform drops the imaginary part a
+    non-Hermitian spectrum would carry, so the coefficients are checked
+    first: half the sum of |c_p - conj(c_-p)| bounds that imaginary part,
+    and it must lie within the tolerance :func:`evaluate` allows.
+    """
+    c = g.coeffs
+    if 0.5 * np.sum(np.abs(c - np.conj(c[::-1]))) > (
+        _REAL_RTOL * np.sum(np.abs(c)) + _REAL_ATOL
+    ):
+        raise AssertionError("coefficients would give a non-negligible imaginary part")
     spec = np.zeros(N, dtype=complex)
-    np.add.at(spec, np.arange(-g.P, g.P + 1) % N, g.coeffs)
-    return _real_part(g, np.fft.ifft(spec) * N)
+    np.add.at(spec, np.arange(-g.P, g.P + 1) % N, c)
+    return np.fft.irfft(spec[: N // 2 + 1], n=N) * N
 
 
 def _real_part(g: TrigPolynomial, vals: np.ndarray) -> np.ndarray:
@@ -165,9 +176,11 @@ def _real_part(g: TrigPolynomial, vals: np.ndarray) -> np.ndarray:
 def sample(g: TrigPolynomial, grid: UniformGrid) -> SampleVector:
     """Sample one period of g on a K-point grid with K*T == tau.
 
-    The samples g(k*tau/K) come from one inverse FFT of the coefficients
-    placed at bins p mod K. With K < 2P+1, harmonics p and p + K fall in
-    the same bin and add, which is the aliasing of sampling at that rate.
+    The samples g(k*tau/K) come from one inverse real FFT of the bins
+    0..K//2 of the coefficients placed at bins p mod K, after the Hermitian
+    check of :func:`_on_grid`. With K < 2P+1, harmonics p and p + K fall
+    in the same bin and add, which is the aliasing of sampling at that
+    rate.
     """
     if abs(grid.span - g.tau) > 1e-9 * g.tau:
         raise ValueError(

@@ -238,6 +238,45 @@ class TestRecover:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "K,P,amplitude,seed",
+        [("512", "4", "4", "3"), ("256", "2", "3", "28")],  # mean -1.3: off 0 by > lambda
+    )
+    def test_baseline_bound_without_truth_column(
+        self, tmp_path, capsys, K, P, amplitude, seed
+    ):
+        # |y| <= lambda, so the folded samples cannot bound max|gamma|; with
+        # --method both the bound comes from the Fourier estimate
+        sim = tmp_path / "sim"
+        assert main(
+            ["simulate", "--tau", "1", "--K", K, "--P", P, "--lambda", "1",
+             "--amplitude", amplitude, "--seed", seed, "--output-dir", str(sim)]
+        ) == 0
+        capture = harness.load_capture(sim / "capture.csv")
+        bare = tmp_path / "bare.csv"
+        harness.write_capture(bare, capture.time, capture.modulo,
+                              metadata={"tau": 1.0})
+        folds = capture.metadata["folds"]
+        out = tmp_path / "rec"
+        assert main(
+            ["recover", "--input", str(bare), "--P", P, "--M", folds,
+             "--lambda", "1", "--method", "both", "--p-inflation", "0",
+             "--output-dir", str(out)]
+        ) == 0
+        assert "US_error" not in (out / "metrics.txt").read_text()
+        table = np.genfromtxt(out / "reconstruction.csv", delimiter=",", names=True)
+        for column in ("gamma_fd", "gamma_us"):
+            err = table[column] - capture.ground_truth
+            assert np.max(np.abs(err - np.mean(err))) < 1e-9
+        capsys.readouterr()
+        code = main(
+            ["recover", "--input", str(bare), "--P", P, "--M", folds,
+             "--lambda", "1", "--method", "usf", "--p-inflation", "0",
+             "--output-dir", str(tmp_path / "usf")]
+        )
+        assert code == 2
+        assert "max-norm bound beta" in capsys.readouterr().err
+
     def test_failure_leaves_no_partial_outputs(self, tmp_path):
         capture = _simulate(tmp_path)
         out = tmp_path / "o"

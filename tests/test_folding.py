@@ -336,6 +336,22 @@ class TestFiniteDifference:
         np.testing.assert_allclose(lhs, [-0.5, 0.4], atol=1e-12)
         np.testing.assert_allclose(rhs, [-0.5, 0.4], atol=1e-12)
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    @given(
+        s=st.lists(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_circular_matches_roll_bitwise(self, N, s):
+        expected = np.asarray(s, dtype=float)
+        for _ in range(N):
+            expected = np.roll(expected, -1) - expected
+        got = finite_difference(s, N, circular=True)
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestChooseOrder:
     def test_examples(self):

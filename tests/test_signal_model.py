@@ -110,10 +110,13 @@ class TestSample:
             sample(cosine_signal(), UniformGrid(T=0.25, K=5))
 
     @pytest.mark.parametrize("P", [0, 1, 7, 30])
-    @pytest.mark.parametrize("K", ["3", "2P+1", "64", "4097"])
+    @pytest.mark.parametrize("K", ["3", "2P+1", "64", "4097", "2P", "2P-1"])
     def test_matches_evaluate(self, P, K):
-        # K = 3 < 2P+1 aliases harmonics onto shared grid values
-        K = 2 * P + 1 if K == "2P+1" else int(K)
+        # K = 3 and the odd K = 2P-1 are below 2P+1 and alias harmonics onto
+        # shared bins; at the even K = 2P harmonics +-P share the Nyquist
+        # bin K/2, the last bin of the half spectrum
+        sizes = {"2P+1": 2 * P + 1, "2P": 2 * P, "2P-1": 2 * P - 1}
+        K = max(sizes[K], 1) if K in sizes else int(K)
         g = synthesize_random(P=P, tau=1.5, amplitude=4.0, seed=P)
         grid = UniformGrid(T=1.5 / K, K=K)
         err = np.max(np.abs(sample(g, grid).values - evaluate(g, grid.times)))

@@ -255,6 +255,24 @@ class TestAmplitudesLs:
         c, _ = amplitudes_ls(z, n, k, L)
         assert np.max(np.abs(c - c_true)) <= 1e-14 * np.max(np.abs(c_true))
 
+    @pytest.mark.parametrize("L", [64, 65])
+    def test_half_band_matches_full_band(self, L):
+        # a real spike train has bin L-n equal to the conjugate of bin n, so
+        # the out-of-band bins n <= L/2 (at even L the Nyquist bin is one of
+        # them) fit the same amplitudes as the whole band
+        P, M = 3, 9
+        rng = np.random.default_rng(L)
+        k = np.sort(rng.choice(L, size=M, replace=False))
+        c_true = rng.uniform(-2.0, 2.0, size=M)
+        spikes = np.zeros(L)
+        spikes[k] = c_true
+        z, n = extract_out_of_band(np.fft.fft(spikes), P)
+        half = n <= L // 2
+        assert (2 * n[half][-1] == L) == (L % 2 == 0)
+        c_full, _ = amplitudes_ls(z, n, k, L)
+        c_half, _ = amplitudes_ls(z[half], n[half], k, L)
+        assert np.max(np.abs(c_half - c_full)) <= 1e-12 * np.max(np.abs(c_true))
+
     def test_noise_stability(self):
         z, n, _ = spike_spectrum([6, 25], [1.25, -0.75], 64, 2)
         noise = np.random.default_rng(0).normal(size=len(z)) * 1e-6
