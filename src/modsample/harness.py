@@ -104,63 +104,40 @@ def load_capture(path) -> CaptureFile:
     Format: optional '#'-prefixed comment lines (``# key = value`` pairs are
     kept as metadata), then a ``time,truth,modulo`` or ``time,modulo`` header
     and rows of finite numbers. Timestamps must be uniformly spaced to
-    within 1e-6 relative. A ``dc_offset`` metadata value is subtracted from
+    within 1e-6 relative, and a ``tau`` header must equal K*T to within
+    the same tolerance. A ``dc_offset`` metadata value is subtracted from
     the modulo column. Malformed ``tau``, ``dc_offset`` or ``folds`` values
     raise :class:`CaptureFormatError` naming their line.
     """
-    path = Path(path)
-    metadata: dict = {}
-    header = None
-    rows = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    key, value = key.strip(), value.strip()
-                    if key in _METADATA_RULES:
-                        parse, valid, what = _METADATA_RULES[key]
-                        try:
-                            ok = valid(parse(value))
-                        except ValueError:
-                            ok = False
-                        if not ok:
-                            raise CaptureFormatError(
-                                f"{key} must be {what}, got {value!r}", line=lineno
-                            )
-                    metadata[key] = value
-                continue
-            if header is None:
-                header = [c.strip().lower() for c in line.split(",")]
-                if header not in (["time", "truth", "modulo"], ["time", "modulo"]):
-                    raise CaptureFormatError(
-                        f"unsupported header {header!r}", line=lineno
-                    )
-                continue
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise CaptureFormatError(
-                    f"expected {len(header)} columns, got {len(cells)}", line=lineno
-                )
-            try:
-                row = [float(c) for c in cells]
-            except ValueError as exc:
-                raise CaptureFormatError(str(exc), line=lineno) from exc
-            if not all(math.isfinite(v) for v in row):
-                raise CaptureFormatError("non-finite sample", line=lineno)
-            rows.append(row)
-    if header is None or len(rows) < 2:
+    lines = Path(path).read_text().split("\n")
+    entries: dict = {}  # key -> (value, line number)
+    for start, line in enumerate(lines):
+        line = line.strip()
+        if line and not _read_comment(line, start + 1, entries):
+            break
+    else:
         raise CaptureFormatError("capture needs a header and at least two rows")
-    data = np.asarray(rows, dtype=float)
+    header = [c.strip().lower() for c in line.split(",")]
+    if header not in (["time", "truth", "modulo"], ["time", "modulo"]):
+        raise CaptureFormatError(f"unsupported header {header!r}", line=start + 1)
+    body = lines[start + 1:]
+    data = _bulk_rows(body, len(header))
+    if data is None:
+        data = _row_loop(body, start + 2, len(header), entries)
     time = data[:, 0]
     steps = np.diff(time)
     T = float(np.median(steps))
     if T <= 0 or np.max(np.abs(steps - T)) > _GRID_UNIFORMITY_RTOL * abs(T):
         raise CaptureFormatError("timestamps are not on a uniform grid")
+    metadata = {key: value for key, (value, _) in entries.items()}
+    if "tau" in entries:
+        tau, tau_line = entries["tau"]
+        span = len(time) * T
+        if abs(float(tau) - span) > _GRID_UNIFORMITY_RTOL * float(tau):
+            raise CaptureFormatError(
+                f"tau = {tau} does not match the time column's K*T = {span!r}",
+                line=tau_line,
+            )
     modulo = data[:, header.index("modulo")]
     if "dc_offset" in metadata:
         modulo = modulo - float(metadata["dc_offset"])
@@ -168,6 +145,71 @@ def load_capture(path) -> CaptureFile:
     metadata.setdefault("tau", repr(len(time) * T))
     metadata["T"] = T
     return CaptureFile(time=time, modulo=modulo, ground_truth=truth, metadata=metadata)
+
+
+def _read_comment(line: str, lineno: int, entries: dict) -> bool:
+    """Whether the stripped `line` is a comment. A ``key = value`` comment
+    is kept in `entries` as key -> (value, lineno); a malformed ``tau``,
+    ``dc_offset`` or ``folds`` value raises naming its line."""
+    if not line.startswith("#"):
+        return False
+    body = line.lstrip("#").strip()
+    if "=" in body:
+        key, _, value = body.partition("=")
+        key, value = key.strip(), value.strip()
+        if key in _METADATA_RULES:
+            parse, valid, what = _METADATA_RULES[key]
+            try:
+                ok = valid(parse(value))
+            except ValueError:
+                ok = False
+            if not ok:
+                raise CaptureFormatError(f"{key} must be {what}, got {value!r}", line=lineno)
+        entries[key] = (value, lineno)
+    return True
+
+
+def _bulk_rows(body: list, ncols: int):
+    """The (rows, ncols) array of the lines after the header, parsed in one
+    C pass; None when the row loop has to decide. np.loadtxt reads a cell
+    with the same correctly rounded parser as float(), and rejects every
+    cell float() rejects, but also some float() accepts (``1_0``, non-ASCII
+    digits) and every comment line; it skips empty lines, as the loop does.
+    A rejection, a column-count mismatch, a non-finite cell or fewer than
+    two rows all go to the loop, which names the line or accepts the file."""
+    if not any(body):  # loadtxt warns on an input with no data
+        return None
+    try:
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if data.shape[1] != ncols or len(data) < 2 or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _row_loop(body: list, first_lineno: int, ncols: int, entries: dict) -> np.ndarray:
+    """The rows of the lines after the header, one cell at a time: the
+    diagnostic path, which raises naming the line of a bad row. Comment
+    lines are read into `entries`; blank lines are skipped."""
+    rows = []
+    for lineno, line in enumerate(body, start=first_lineno):
+        line = line.strip()
+        if not line or _read_comment(line, lineno, entries):
+            continue
+        cells = line.split(",")
+        if len(cells) != ncols:
+            raise CaptureFormatError(f"expected {ncols} columns, got {len(cells)}", line=lineno)
+        try:
+            row = [float(c) for c in cells]
+        except ValueError as exc:
+            raise CaptureFormatError(str(exc), line=lineno) from exc
+        if not all(math.isfinite(v) for v in row):
+            raise CaptureFormatError("non-finite sample", line=lineno)
+        rows.append(row)
+    if len(rows) < 2:
+        raise CaptureFormatError("capture needs a header and at least two rows")
+    return np.asarray(rows, dtype=float)
 
 
 def write_capture(path, time, modulo, truth=None, metadata=None):
@@ -182,15 +224,17 @@ def _write_table(path, columns: dict, metadata=None):
     """Write ``# key = value`` comments, a header of the column names, then
     one row per sample. Integer columns are written as integers and the
     rest with 17 significant digits, which round-trips every float64; a
-    column given as None is left empty."""
+    column given as None is left empty. The text is that of np.savetxt
+    with the same row format, built from whole columns in one write."""
     lines = [f"# {key} = {_fmt(value)}" for key, value in (metadata or {}).items()]
     lines.append(",".join(columns))
-    fmt = ",".join(
-        "" if col is None else "%d" if np.asarray(col).dtype.kind in "iu" else "%.17g"
-        for col in columns.values()
-    )
-    data = np.column_stack([col for col in columns.values() if col is not None])
-    np.savetxt(path, data, fmt=fmt, delimiter=",", header="\n".join(lines), comments="")
+    arrays = [None if col is None else np.asarray(col) for col in columns.values()]
+    row = ",".join(
+        "" if a is None else "%d" if a.dtype.kind in "iu" else "%.17g" for a in arrays
+    ) + "\n"
+    cells = zip(*(a.tolist() for a in arrays if a is not None))
+    with Path(path).open("w") as fh:
+        fh.write("\n".join(lines) + "\n" + "".join([row % r for r in cells]))
 
 
 def synthesize_measurement(src: SyntheticSource):

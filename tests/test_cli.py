@@ -150,6 +150,22 @@ class TestRecover:
         key = line[2:].split(" ")[0]
         assert f"line 1: {key} must be" in capsys.readouterr().err
 
+    def test_tau_disagreeing_with_time_column_is_io_error(self, tmp_path, capsys):
+        # a doubled tau would double T_FD and T_US and halve the baseline's Omega
+        out = tmp_path / "sim"
+        assert main(["simulate", "--tau", "1", "--K", "1024", "--P", "5", "--lambda", "1",
+                     "--amplitude", "4", "--seed", "3", "--output-dir", str(out)]) == 0
+        capture = out / "capture.csv"
+        text = capture.read_text()
+        assert text.startswith("# tau = 1.0\n")
+        capture.write_text(text.replace("# tau = 1.0\n", "# tau = 2.0\n", 1))
+        rec = tmp_path / "rec"
+        code = main(["recover", "--input", str(capture), "--P", "5", "--lambda", "1",
+                     "--method", "both", "--p-inflation", "0", "--output-dir", str(rec)])
+        assert code == 4
+        assert "line 1: tau = 2.0 does not match" in capsys.readouterr().err
+        assert not (rec / "metrics.txt").exists()
+
     def test_explicit_m_and_lambda_grid(self, tmp_path):
         capture = _simulate(tmp_path)
         out = tmp_path / "rec2"

@@ -1,10 +1,14 @@
 """Unit tests for the experiment harness: capture I/O, orchestration,
 metrics emission and parameter sweeps."""
 
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from modsample import (
     CaptureFormatError,
@@ -15,10 +19,12 @@ from modsample import (
     round_beta,
     usf_recover,
 )
+from modsample import harness
 from modsample.harness import (
     CaptureFile,
     ExperimentConfig,
     SyntheticSource,
+    _write_table,
     load_capture,
     realized_fold_count,
     run_experiment,
@@ -126,6 +132,274 @@ class TestLoadCapture:
         np.testing.assert_array_equal(cap.time, time)
         np.testing.assert_array_equal(cap.modulo, modulo)
         np.testing.assert_array_equal(cap.ground_truth, truth)
+
+    def test_tau_must_match_time_column(self, tmp_path):
+        # K*T = 0.4; the header may differ by 1e-6 relative, as the time steps may
+        for tau in ("0.4", "0.40000039", "4e-1"):
+            cap = load_capture(_write(tmp_path, THREE_COL.replace("0.4\n", tau + "\n", 1)))
+            assert cap.metadata["tau"] == tau
+        for tau in ("0.8", "0.40000041", "0.2"):
+            text = "# note\n" + THREE_COL.replace("0.4\n", tau + "\n", 1)
+            with pytest.raises(CaptureFormatError) as err:
+                load_capture(_write(tmp_path, text))
+            assert err.value.line == 2
+            assert str(err.value).startswith(f"line 2: tau = {tau} does not match")
+
+    def test_plain_body_parsed_in_bulk(self, tmp_path, monkeypatch):
+        def no_loop(*args):
+            raise AssertionError("row loop ran")
+
+        monkeypatch.setattr(harness, "_row_loop", no_loop)
+        cap = load_capture(_write(tmp_path, THREE_COL))
+        np.testing.assert_array_equal(cap.time, [0.0, 0.1, 0.2, 0.3])
+        with pytest.raises(AssertionError, match="row loop ran"):
+            load_capture(_write(tmp_path, THREE_COL + "# folds = 2\n"))
+
+
+def _load_capture_by_rows(path) -> CaptureFile:
+    """The row-by-row parser that load_capture replaced, kept as the
+    reference of its bulk parse (less the tau check, which it lacked)."""
+    path = Path(path)
+    metadata: dict = {}
+    header = None
+    rows = []
+    with path.open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if "=" in body:
+                    key, _, value = body.partition("=")
+                    key, value = key.strip(), value.strip()
+                    if key in harness._METADATA_RULES:
+                        parse, valid, what = harness._METADATA_RULES[key]
+                        try:
+                            ok = valid(parse(value))
+                        except ValueError:
+                            ok = False
+                        if not ok:
+                            raise CaptureFormatError(
+                                f"{key} must be {what}, got {value!r}", line=lineno
+                            )
+                    metadata[key] = value
+                continue
+            if header is None:
+                header = [c.strip().lower() for c in line.split(",")]
+                if header not in (["time", "truth", "modulo"], ["time", "modulo"]):
+                    raise CaptureFormatError(
+                        f"unsupported header {header!r}", line=lineno
+                    )
+                continue
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise CaptureFormatError(
+                    f"expected {len(header)} columns, got {len(cells)}", line=lineno
+                )
+            try:
+                row = [float(c) for c in cells]
+            except ValueError as exc:
+                raise CaptureFormatError(str(exc), line=lineno) from exc
+            if not all(math.isfinite(v) for v in row):
+                raise CaptureFormatError("non-finite sample", line=lineno)
+            rows.append(row)
+    if header is None or len(rows) < 2:
+        raise CaptureFormatError("capture needs a header and at least two rows")
+    data = np.asarray(rows, dtype=float)
+    time = data[:, 0]
+    steps = np.diff(time)
+    T = float(np.median(steps))
+    if T <= 0 or np.max(np.abs(steps - T)) > 1e-6 * abs(T):
+        raise CaptureFormatError("timestamps are not on a uniform grid")
+    modulo = data[:, header.index("modulo")]
+    if "dc_offset" in metadata:
+        modulo = modulo - float(metadata["dc_offset"])
+    truth = data[:, 1] if "truth" in header else None
+    metadata.setdefault("tau", repr(len(time) * T))
+    metadata["T"] = T
+    return CaptureFile(time=time, modulo=modulo, ground_truth=truth, metadata=metadata)
+
+
+def _outcome(load, path):
+    """What `load` makes of a file: its arrays as bytes and its metadata
+    (T as bytes), or the type, line and text of the error it raises."""
+    try:
+        cap = load(path)
+    except CaptureFormatError as exc:
+        return "error", exc.line, str(exc)
+    arrays = [cap.time, cap.modulo, cap.ground_truth]
+    meta = dict(cap.metadata, T=np.float64(cap.T).tobytes())
+    return [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays], meta
+
+
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                     0.1, 1.7976931348623157e308, -123456789.12345678]),
+)
+# float() texts of a value: 17 digits, shortest, exponent forms, and
+# rounded forms of values that cannot round up to inf
+_EXACT_FORMS = st.sampled_from(["%.17g", "%r", "%.16e", "%.16E", "%+.17g"])
+_CELLS = st.one_of(
+    st.tuples(_EXACT_FORMS, _VALUES),
+    st.tuples(st.sampled_from(["%.3e", "%g", "%.1f", "%.0E"]), st.floats(-1e300, 1e300)),
+).map(lambda fv: fv[0] % fv[1])
+
+
+@st.composite
+def _capture_texts(draw):
+    """A valid capture: uniform time column, 2 or 3 columns, metadata, and
+    the text variations the row loop accepts."""
+    ncols = draw(st.sampled_from([2, 3]))
+    K = draw(st.integers(2, 24))
+    T = draw(st.sampled_from([0.1, 0.25, 1e-6, 3.0, 1 / 1024, 2.5e-9]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    pad = st.sampled_from(["", " ", "  ", "\t", " \t ", "\x0c", "\u00a0"])
+    lines = draw(st.lists(st.sampled_from(
+        ["# note", "#", "", f"# tau = {K * T!r}", "# folds = 3", "# dc_offset = -0.25",
+         "# lambda = 1"]), max_size=4))
+    header = "time,truth,modulo" if ncols == 3 else "time,modulo"
+    lines.append(draw(pad) + header + draw(pad))
+    between = draw(st.booleans())
+    for k in range(K):
+        cells = [draw(_EXACT_FORMS) % (k * T)] + [draw(_CELLS) for _ in range(ncols - 1)]
+        lines.append(",".join(draw(pad) + c + draw(pad) for c in cells))
+        if between and draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "# between rows", "# folds = 1"])))
+    text = newline.join(lines)
+    return text + newline if draw(st.booleans()) else text
+
+
+_TWO = "time,modulo\n"
+
+
+class TestLoadCaptureMatchesRowLoop:
+    @given(text=_capture_texts())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_valid_captures_bitwise(self, tmp_path, text):
+        path = tmp_path / "capture.csv"
+        path.write_bytes(text.encode())
+        expected = _outcome(_load_capture_by_rows, path)
+        assert expected[0] != "error", expected
+        assert _outcome(load_capture, path) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _TWO + "0.0,1.0\n0.1,oops\n0.2,3.0\n",  # bad cell
+            _TWO + "0.0,1.0\n\n# c\n0.1,2.0\n0.2,x\n",  # bad cell after skipped lines
+            _TWO + "0.0,1.0\r\n0.1,1e\r\n0.2,3.0\r\n",  # bad cell, CRLF
+            _TWO + "0.0,1.0\n0.1,2.0,3.0\n",  # too many columns
+            _TWO + "0.0,1.0\n0.1\n0.2,3.0\n",  # too few columns
+            _TWO + "0.0,1.0\n0.1,2.0,\n",  # trailing comma
+            _TWO + "0.0,1.0\n0.1,\n",  # empty cell
+            _TWO + "0.0,1.0\n0.1,nan\n0.2,3.0\n",
+            _TWO + "0.0,1.0\n0.1,inf\n0.2,3.0\n",
+            _TWO + "0.0,1.0\n0.1,-inf\n0.2,3.0\n",
+            _TWO + "0.0,1.0\n0.1,-Infinity\n",
+            _TWO + "0.0,1.0\n0.1,1e400\n",  # overflows to inf
+            _TWO + "0.0,1.0\n",  # one row
+            _TWO + "\n\n",  # no rows
+            _TWO,  # no body
+            _TWO + "0.0,1.0\n0.1,2.0\n# folds = 2.5\n",  # bad metadata after the rows
+            _TWO + "0.0,1.0\n0.1,0x10\n",  # float() takes no hex
+            _TWO + "0.0,1.0\n0.1,\"2\"\n",
+            _TWO + "0.0,1.0\n0.1,2\x00\n",
+            _TWO + "0.0,1.0\n0.1,2 3\n",
+            _TWO + "0.0,1.0\n   \n0.1,2.0\n0.3,2.0\n",  # whitespace line skipped, then off-grid
+            _TWO + "0.0,1.0\x0c\n0.1,oops\n",  # only \n, \r\n and \r end a line
+            "time,truth,modulo\n0.0,1.0\n0.1,2.0\n",  # two columns under three
+            "time,truth,modulo\n0.0,1.0,2.0\n0.1,2.0\n",
+        ],
+    )
+    def test_malformed_bodies_raise_alike(self, tmp_path, text):
+        path = _write(tmp_path, "# note\n" + text)
+        expected = _outcome(_load_capture_by_rows, path)
+        assert expected[0] == "error"
+        assert _outcome(load_capture, path) == expected
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0.0,1_0\n0.1,2.0\n",  # float() takes digit separators, loadtxt does not
+            "0.0,\u0661\u0660\n0.1,2.0\n",  # and non-ASCII digits
+            "0.0,1.0\n\u3000\n0.1,2.0\n",  # a line of non-ASCII whitespace is blank
+            "0.0,1.0\n# folds = 2\n0.1,2.0\n",  # metadata between rows is read
+            "0.0\u2028,\u00a01.0\x0c\n0.1,2.0\x1c\n",  # cells padded with other whitespace
+        ],
+    )
+    def test_loop_only_syntax_accepted_alike(self, tmp_path, body):
+        path = _write(tmp_path, _TWO + body)
+        expected = _outcome(_load_capture_by_rows, path)
+        assert expected[0] != "error", expected
+        assert _outcome(load_capture, path) == expected
+
+
+def _savetxt_table(path, columns, metadata=None):
+    """The np.savetxt writer that _write_table replaced: the oracle of its
+    bytes."""
+    lines = [f"# {key} = {harness._fmt(value)}" for key, value in (metadata or {}).items()]
+    lines.append(",".join(columns))
+    fmt = ",".join(
+        "" if col is None else "%d" if np.asarray(col).dtype.kind in "iu" else "%.17g"
+        for col in columns.values()
+    )
+    data = np.column_stack([col for col in columns.values() if col is not None])
+    np.savetxt(path, data, fmt=fmt, delimiter=",", header="\n".join(lines), comments="")
+
+
+_MAGNITUDES = st.builds(
+    lambda m, e: m * 10.0 ** e,
+    st.floats(-10, 10, allow_nan=False), st.integers(-300, 299),
+)
+
+
+@st.composite
+def _tables(draw):
+    K = draw(st.integers(1, 12))
+    kinds = draw(st.lists(st.sampled_from(["int", "float", "none"]), min_size=1, max_size=6))
+    if all(kind == "none" for kind in kinds):
+        kinds.append("float")
+    columns = {}
+    for i, kind in enumerate(kinds):
+        if kind == "int":
+            values = draw(st.lists(st.integers(-2**53, 2**53), min_size=K, max_size=K))
+            columns[f"c{i}"] = np.array(values, dtype=np.int64)
+        elif kind == "float":
+            values = draw(st.lists(st.one_of(_VALUES, _MAGNITUDES), min_size=K, max_size=K))
+            columns[f"c{i}"] = np.array(values)
+        else:
+            columns[f"c{i}"] = None
+    metadata = draw(st.none() | st.dictionaries(
+        st.sampled_from(["tau", "P", "note"]),
+        st.one_of(st.none(), st.integers(), _VALUES, st.text("ab =#", max_size=4))))
+    return columns, metadata
+
+
+class TestWriteTable:
+    @given(table=_tables())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bytes_match_savetxt(self, tmp_path, table):
+        columns, metadata = table
+        _write_table(tmp_path / "new.csv", columns, metadata)
+        _savetxt_table(tmp_path / "old.csv", columns, metadata)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("K", [1, 5])
+    def test_edge_columns_match_savetxt(self, tmp_path, K):
+        k = np.arange(K)
+        columns = {
+            "k": k, "empty": None, "zero": -0.0 * (k + 1), "tiny": 1e-300 * (k + 1),
+            "huge": -1e300 * (k + 1), "sub": 5e-324 * (k + 1), "last": None,
+        }
+        _write_table(tmp_path / "new.csv", columns, {"tau": 0.1})
+        _savetxt_table(tmp_path / "old.csv", columns, {"tau": 0.1})
+        text = (tmp_path / "new.csv").read_text()
+        assert text == (tmp_path / "old.csv").read_text()
+        assert text.splitlines()[2] == "0,,-0,1e-300,-1.0000000000000001e+300,4.9406564584124654e-324,"
 
 
 class TestSynthesizeMeasurement:
