@@ -42,12 +42,9 @@ from .signal_model import (
 )
 from .spectral import (
     amplitudes_ls,
-    annihilator,
     band_partition,
-    build_toeplitz_tall,
     extract_out_of_band,
     grid_support,
-    matrix_pencil,
 )
 
 __version__ = "0.1.0"

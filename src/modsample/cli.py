@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 argument or config error, 3 recovery failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -43,7 +44,11 @@ def _add_synthetic_args(p):
                    help="max spurious jump amplitude in volts")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: building it takes
+    milliseconds, a sizeable share of a small ``recover`` run, and parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="modsample",
         description="Modulo-ADC simulation and Fourier-Prony unfolding",
@@ -214,8 +219,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (CaptureFormatError, OSError) as exc:

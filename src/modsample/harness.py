@@ -107,9 +107,18 @@ def load_capture(path) -> CaptureFile:
     within 1e-6 relative, and a ``tau`` header must equal K*T to within
     the same tolerance. A ``dc_offset`` metadata value is subtracted from
     the modulo column. Malformed ``tau``, ``dc_offset`` or ``folds`` values
-    raise :class:`CaptureFormatError` naming their line.
+    and bytes that are not UTF-8 raise :class:`CaptureFormatError` naming
+    their line.
     """
-    lines = Path(path).read_text().split("\n")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # the file is decoded in one call, so exc.object holds all its bytes
+        raise CaptureFormatError(
+            f"byte {exc.object[exc.start]:#04x} is not UTF-8 text",
+            line=exc.object.count(b"\n", 0, exc.start) + 1,
+        ) from exc
+    lines = text.split("\n")
     entries: dict = {}  # key -> (value, line number)
     for start, line in enumerate(lines):
         line = line.strip()

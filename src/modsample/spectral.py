@@ -1,6 +1,5 @@
 """Fourier-domain spike estimation: band partitioning, the on-grid spike
-support, least-squares amplitudes, and the annihilating filter and matrix
-pencil kept as reference estimators.
+support and least-squares amplitudes.
 
 Folding instants lie on the sampling grid by model, so the first difference
 of the residue is a train of M spikes at integer indices k_m of the L-point
@@ -13,7 +12,6 @@ roots of unity. Spikes are never held as roots or instants in seconds.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import UndersampledError
 
@@ -46,31 +44,52 @@ def extract_out_of_band(bins, P: int):
     return bins[out_band], out_band
 
 
-def build_toeplitz_tall(z, M: int) -> np.ndarray:
-    """(L-M) x (M+1) Toeplitz system using every available spectrum sample.
+def _real_hankel(z, Q: int) -> np.ndarray:
+    """The real (len(z)-Q+1) x Q matrix T, in Fortran order, with the
+    singular values of the width-Q Hankel matrix H[r, j] = z[r + j] of the
+    conjugate-symmetric bins z (a contiguous complex array).
 
-    Row i and column j hold z[i - j + M]; noiseless M-spike data gives rank
-    exactly M. A block of exactly 2M samples gives the minimal M x (M+1)
-    system.
+    H[R-1-r, Q-1-j] = conj(H[r, j]), so H is centro-Hermitian. Let U be the
+    unitary whose column j is (e_j + e_{Q-1-j})/sqrt2 and column c+j is
+    1j (e_j - e_{Q-1-j})/sqrt2 for j < Q//2, where c = Q - Q//2, with
+    column Q//2 = e_{Q//2} at odd Q. Row R-1-r of H U is then the conjugate
+    of row r, and the middle row at odd R is real, so sqrt2 times the real
+    parts of the top rows, the middle row and sqrt2 times their imaginary
+    parts stack into T, an orthogonal transform of H U. T's right singular
+    vectors map to H's through U.
     """
-    z = np.asarray(z, dtype=complex)
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if len(z) < 2 * M:
-        raise ValueError(f"need at least 2M={2 * M} samples, got {len(z)}")
-    return sliding_window_view(z, M + 1)[:, ::-1]
+    R = len(z) - Q + 1
+    hQ, hR = Q // 2, R // 2
+    c = Q - hQ
+    # only the top R-hR rows of H are read, viewed transposed; T is built
+    # transposed too, so that it is in the Fortran order LAPACK reads
+    Ht = np.ndarray((Q, R - hR), complex, z, 0, 2 * z.strides)
+    S = Ht[:c] + Ht[::-1][:c]  # row hQ at odd Q is 2 H[:, hQ]
+    D = Ht[:hQ] - Ht[::-1][:hQ]
+    Tt = np.empty((Q, R))
+    Tt[:c, : R - hR] = S.real
+    Tt[c:, : R - hR] = -D.imag
+    Tt[:c, R - hR :] = S.imag[:, :hR]
+    Tt[c:, R - hR :] = D.real[:, :hR]
+    if R % 2:
+        Tt[:, hR] /= 2**0.5
+    if Q % 2:
+        Tt[hQ] /= 2**0.5
+    return Tt.T
 
 
 def grid_support(z, L: int, M: int) -> np.ndarray:
     """Grid indices of the M spikes behind the contiguous spectrum bins z.
 
-    z holds consecutive bins sum_m c_m xi_m^n of an L-point DFT, with
-    xi_m = exp(-2j pi k_m / L) for integer k_m. The right singular vectors
-    of the width-Q Hankel matrix of z beyond the first M span its noise
-    subspace, which is orthogonal to (1, xi, ..., xi^(Q-1)) exactly at the
-    spike roots. One length-L FFT of the noise vectors evaluates that on
-    every grid root at once, and the M grid indices with the least noise
-    power are the support: MUSIC restricted to the grid.
+    z holds consecutive bins sum_m c_m xi_m^n of an L-point DFT of a real
+    spike train, with xi_m = exp(-2j pi k_m / L) for integer k_m and real
+    c_m, placed symmetrically about L/2 as the out-of-band bins are: so
+    z[-1-j] = conj(z[j]). The right singular vectors of the width-Q Hankel
+    matrix of z beyond the first M span its noise subspace, which is
+    orthogonal to (1, xi, ..., xi^(Q-1)) exactly at the spike roots. One
+    length-L FFT of the noise vectors evaluates that on every grid root at
+    once, and the M grid indices with the least noise power are the
+    support: MUSIC restricted to the grid.
 
     The width is Q = min(2M, max(M+1, len(z) - 2M)). At the sampling bound
     (len(z) = 2M+1) that is M+1 taps, the annihilating filter's aperture;
@@ -78,81 +97,38 @@ def grid_support(z, L: int, M: int) -> np.ndarray:
     that M+1 taps cannot. The Hankel matrix never has fewer rows than
     columns.
 
+    The symmetry makes the Hankel matrix centro-Hermitian, and a sparse
+    unitary change of basis on each side turns it into a real matrix with
+    the same singular values (Lee 1980; Haardt & Nossek, Unitary ESPRIT,
+    1995), so the QR and SVD run in real arithmetic. Bins that are not
+    conjugate-symmetric to within 1e-9 of their largest raise ValueError.
+
     Returns the support as sorted integers in [0, L).
     """
-    z = np.asarray(z, dtype=complex)
+    z = np.ascontiguousarray(z, dtype=complex)
     if M < 1:
         raise ValueError("M must be >= 1")
     if len(z) < 2 * M + 1:
         raise UndersampledError(f"need at least 2M+1={2 * M + 1} samples, got {len(z)}")
+    if np.abs(z - z[::-1].conj()).max() > 1e-9 * np.abs(z).max():
+        raise ValueError("bins are not conjugate-symmetric, so not a real spike train")
     Q = min(2 * M, max(M + 1, len(z) - 2 * M))
-    # the Hankel matrix and its triangular QR factor share their right
-    # singular vectors, and the Q x Q factor is the cheaper one to decompose
-    _, _, vh = np.linalg.svd(np.linalg.qr(sliding_window_view(z, Q), mode="r"))
-    # conj(v) . (xi^j)_j is the DFT of conj(v) at the root's grid index
-    noise = np.fft.fft(np.conj(vh[M:]), n=L, axis=1)
+    hQ, c = Q // 2, Q - Q // 2
+    # T and its triangular QR factor share their right singular vectors, and
+    # the Q x Q factor is the cheaper one to decompose
+    _, _, vh = np.linalg.svd(np.linalg.qr(_real_hankel(z, Q), mode="r"))
+    # H's noise vectors are U times T's (see _real_hankel); w holds sqrt2 U v
+    v = vh[M:]
+    w = np.empty((Q - M, Q), dtype=complex)
+    w[:, :c] = v[:, :c]
+    w.imag[:, :hQ] = v[:, c:]
+    if Q % 2:
+        w[:, hQ] *= 2**0.5
+    w[:, c:] = w[:, hQ - 1 :: -1].conj()
+    # w . (xi^j)_j is the DFT of w at the root's grid index
+    noise = np.fft.fft(w, n=L, axis=1)
     power = np.sum(np.abs(noise) ** 2, axis=0)
     return np.sort(np.argpartition(power, M - 1)[:M])
-
-
-def annihilator(Tmat: np.ndarray):
-    """Annihilating filter taps from the kernel of the Toeplitz matrix.
-
-    Accepts the minimal M x (M+1) matrix or a taller (L-M) x (M+1) system.
-    Returns (p, diagnostics) where p is the right singular vector of the
-    smallest singular value rescaled so p[M] = 1. If the trailing tap is
-    numerically zero, falls back to largest-magnitude normalization and
-    flags it.
-    """
-    Tmat = np.asarray(Tmat, dtype=complex)
-    if Tmat.ndim != 2 or Tmat.shape[1] < 2 or Tmat.shape[0] < Tmat.shape[1] - 1:
-        raise ValueError(f"expected at least M x (M+1) rows, got {Tmat.shape}")
-    # full_matrices=True so vh is (M+1) x (M+1); its last row spans the kernel
-    _, s, vh = np.linalg.svd(Tmat)
-    p = np.conj(vh[-1])
-    diagnostics = {
-        "sigma_min": float(s[-1]),
-        "rank_ratio": float(s[-1] / s[0]) if s[0] > 0 else 0.0,
-        "residual": float(np.linalg.norm(Tmat @ p)),
-        "normalization_fallback": False,
-    }
-    if np.abs(p[-1]) < 1e-12 * np.linalg.norm(p):
-        k = int(np.argmax(np.abs(p)))
-        p = p / p[k]
-        diagnostics["normalization_fallback"] = True
-    else:
-        p = p / p[-1]
-    return p, diagnostics
-
-
-def matrix_pencil(z, M: int, Q: int | None = None) -> np.ndarray:
-    """Estimate the M spike roots via the rank-truncated matrix pencil.
-
-    Hankel matrices of width Q are built from z (rows shifted by 0 and 1);
-    the roots are the eigenvalues of the rank-M-truncated pencil. Auto mode
-    uses Q = floor(len(z)/3) clamped to [M, len(z)-M].
-
-    Returns the roots as a complex array (unsorted).
-    """
-    z = np.asarray(z, dtype=complex)
-    L_z = len(z)
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if L_z < 2 * M:
-        raise UndersampledError(f"need at least 2M={2 * M} samples, got {L_z}")
-    if Q is None:
-        Q = min(max(L_z // 3, M), L_z - M)
-    if not M <= Q <= L_z - M:
-        raise ValueError(f"pencil parameter Q={Q} outside [{M}, {L_z - M}]")
-    rows = L_z - Q
-    Y0 = sliding_window_view(z[: rows + Q - 1], Q)[:rows]
-    Y1 = sliding_window_view(z[1:], Q)[:rows]
-    U, s, Vh = np.linalg.svd(Y0, full_matrices=False)
-    Um = U[:, :M]
-    Vm = Vh[:M].conj().T
-    sm = s[:M]
-    core = (Um.conj().T @ Y1 @ Vm) / sm[:, None]
-    return np.linalg.eigvals(core)
 
 
 def amplitudes_ls(z, n_idx, k, L: int) -> tuple[np.ndarray, float]:

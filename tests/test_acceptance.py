@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from _reference import annihilator, build_toeplitz_tall, matrix_pencil
 from conftest import ACCEPTANCE_LINES
 from _trials import fixpoint_trial, ideal_trials, nonideal_trials
 
@@ -16,8 +17,6 @@ from modsample import (
     FoldConsistencyError,
     ModsampleError,
     UniformGrid,
-    build_toeplitz_tall,
-    annihilator,
     calibrated_mse,
     centered_modulo,
     dynamic_range,
@@ -25,7 +24,6 @@ from modsample import (
     finite_difference,
     fourier_prony_recover,
     grid_support,
-    matrix_pencil,
     mse,
     quantize,
     round_beta,

@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from modsample import harness
+from modsample import cli, harness
 from modsample.cli import main
 
 
@@ -215,6 +215,14 @@ class TestRecover:
         )
         assert code == 4
 
+    def test_capture_that_is_not_utf8_is_io_error(self, tmp_path, capsys):
+        capture = tmp_path / "c.csv"
+        capture.write_bytes(b"# note \xb5s\ntime,modulo\n0,1\n0.1,2\n")
+        code = main(["recover", "--input", str(capture), "--P", "1", "--M", "0",
+                     "--output-dir", str(tmp_path / "o")])
+        assert code == 4
+        assert "line 1: byte 0xb5 is not UTF-8 text" in capsys.readouterr().err
+
     def test_non_finite_capture_is_io_error(self, tmp_path, capsys):
         capture = _simulate(tmp_path)
         lines = capture.read_text().splitlines()
@@ -363,3 +371,41 @@ class TestNonidealityFlags:
         modulo = np.array([float(r.split(",")[2]) for r in rows])
         frac = modulo / q - 0.5
         np.testing.assert_allclose(frac, np.round(frac), atol=1e-9)
+
+
+class TestParserReuse:
+    """main builds its parser once per process; calls that share it behave
+    as calls that each build their own, also after a parse error."""
+
+    def _run(self, argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_shared_parser_matches_fresh_parsers(self, tmp_path, capsys):
+        calls = [
+            ["bounds", "--tau", "0.000996", "--P", "15", "--M", "7"],
+            ["bounds", "--tau", "x", "--P", "15", "--M", "7"],  # argparse error
+            ["bounds", "--tau", "0.000996", "--P", "15", "--M", "7"],
+            ["recover", "--P", "3"],  # missing required flags
+            ["simulate", "--tau", "1", "--K", "64", "--P", "2", "--lambda", "1",
+             "--seed", "4", "--output-dir", str(tmp_path / "sim")],
+            ["frobnicate"],
+            ["recover", "--help"],
+            ["sweep", "--tau", "1", "--K", "64", "--P", "2", "--lambda", "1",
+             "--axis", "seed", "--values", "1,2", "--output-dir", str(tmp_path / "sweep")],
+            ["bounds", "--tau", "0.000996", "--P", "15", "--M", "7"],
+        ]
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(self._run(argv, capsys))
+        cli.build_parser.cache_clear()
+        shared = [self._run(argv, capsys) for argv in calls]
+        assert cli.build_parser.cache_info().misses == 1
+        assert shared == fresh
+        assert [r[0] for r in shared] == [0, ("exit", 2), 0, ("exit", 2), 0,
+                                          ("exit", 2), ("exit", 0), 0, 0]

@@ -1,0 +1,145 @@
+"""The real-arithmetic grid support against the complex-arithmetic oracle
+in `_reference`: the same support on spike spectra of every Hankel shape
+parity, on the trial families of the acceptance criteria and on dense
+captures, the same singular values, and a refusal of bins that are not
+conjugate-symmetric."""
+
+import numpy as np
+import pytest
+
+import _reference
+from _trials import ideal_trials, nonideal_trials
+from modsample import (
+    UniformGrid,
+    extract_out_of_band,
+    finite_difference,
+    fold_ideal,
+    grid_support,
+    quantize,
+    sample,
+    synthesize_random,
+)
+from modsample.spectral import _real_hankel
+
+
+def _width(Lz, M):
+    return min(2 * M, max(M + 1, Lz - 2 * M))
+
+
+def _spike_bins(rng, L, P, M):
+    """Out-of-band bins of M real spikes on an L-point grid, two of them
+    adjacent, and their sorted indices."""
+    k0 = int(rng.integers(L - 1))
+    rest = rng.choice(np.setdiff1d(np.arange(L), [k0, k0 + 1]), size=M - 2, replace=False)
+    k = np.sort(np.concatenate([[k0, k0 + 1], rest]))
+    spikes = np.zeros(L)
+    spikes[k] = rng.uniform(0.5, 2.0, size=M) * rng.choice([-1.0, 1.0], size=M)
+    z, _ = extract_out_of_band(np.fft.fft(spikes), P)
+    return z, k
+
+
+def _bins(y, P):
+    """The out-of-band bins that fourier_prony_recover searches."""
+    z, _ = extract_out_of_band(np.fft.fft(finite_difference(y.values, 1, circular=True)), P)
+    return z
+
+
+def _assert_oracle_support(cases):
+    for z, L, M in cases:
+        np.testing.assert_array_equal(grid_support(z, L, M), _reference.grid_support(z, L, M))
+
+
+@pytest.mark.parametrize("L_even", [48, 72])
+def test_same_support_as_the_oracle_for_every_shape(L_even):
+    # len(z) = L - 2P - 1 runs from the sampling bound 2M+1 (Q = M+1) to
+    # every bin but DC (Q = 2M); even and odd L give both parities of
+    # len(z), so the rows R = len(z) - Q + 1 and Q take both parities
+    rng = np.random.default_rng(L_even)
+    parities = set()
+    for L in (L_even, L_even + 1):
+        for M in (3, 4, 7, 8, 11):
+            for P in range(0, (L - 2 * M - 2) // 2 + 1):
+                z, k = _spike_bins(rng, L, P, M)
+                Q = _width(len(z), M)
+                parities.add(((len(z) - Q + 1) % 2, Q % 2))
+                support = grid_support(z, L, M)
+                np.testing.assert_array_equal(support, _reference.grid_support(z, L, M))
+                np.testing.assert_array_equal(support, k)
+    assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("Lz, M", [(9, 4), (10, 4), (11, 4), (12, 4), (13, 4), (20, 5),
+                                   (21, 5), (40, 9), (41, 9), (64, 12), (65, 12)])
+def test_singular_values_match_the_hankel_matrix(Lz, M):
+    rng = np.random.default_rng(Lz * 100 + M)
+    L = Lz + 7  # P = 3
+    z, _ = _spike_bins(rng, L, 3, M)
+    z = z + 1e-3 * (rng.standard_normal(Lz) + 1j * rng.standard_normal(Lz))
+    z = 0.5 * (z + z[::-1].conj())  # noisy but conjugate-symmetric: full rank
+    Q = _width(Lz, M)
+    T = _real_hankel(z, Q)
+    assert T.shape == (Lz - Q + 1, Q) and T.dtype == np.float64
+    s_hankel = np.linalg.svd(np.lib.stride_tricks.sliding_window_view(z, Q), compute_uv=False)
+    s_real = np.linalg.svd(T, compute_uv=False)
+    np.testing.assert_allclose(s_real, s_hankel, rtol=0, atol=1e-12 * s_hankel[0])
+
+
+def test_bins_that_are_not_conjugate_symmetric_are_refused():
+    # complex amplitudes: the spikes of no real signal
+    L, P, M = 64, 3, 4
+    k = np.array([5, 17, 30, 41])
+    spikes = np.zeros(L, dtype=complex)
+    spikes[k] = [1.0, 1j, -0.5 + 0.5j, 2.0]
+    z, _ = extract_out_of_band(np.fft.fft(spikes), P)
+    with pytest.raises(ValueError, match="conjugate-symmetric"):
+        grid_support(z, L, M)
+    # a slice that is not centred on L/2
+    real, _ = extract_out_of_band(np.fft.fft(spikes.real), P)
+    with pytest.raises(ValueError, match="conjugate-symmetric"):
+        grid_support(real[1:], L, M)
+
+
+def test_criterion_1_and_2_families():
+    cases = [(_bins(tr.y, tr.P), tr.grid.K, tr.M) for tr in ideal_trials(100, seed0=0)]
+    cases += [(_bins(y2, tr.P), tr.grid.K, M2)
+              for tr, _, y2, M2 in nonideal_trials(100, seed0=0)]
+    _assert_oracle_support(cases)
+
+
+@pytest.mark.parametrize("k_factor", [4, 2])
+def test_8_bit_families(k_factor):
+    # k_factor 4 is criterion 7 (K = 2 K_min); 2 is K = K_min, where noise
+    # often moves the support, and both estimators must move it alike
+    trials = ideal_trials(50, seed0=5000, P_range=(2, 8), M_range=(1, 40),
+                          amp_range=(5.0, 5.0), threshold=1.0, k_factor=k_factor, extra=0)
+    _assert_oracle_support([(_bins(quantize(tr.y, 8, 1.0), tr.P), tr.grid.K, tr.M)
+                            for tr in trials])
+
+
+def _dense_capture(seed, K, P, M_target):
+    """Ideal folds of a random period at the smallest threshold that makes
+    at most M_target circular jumps; (y, M, jump indices)."""
+    gamma = sample(synthesize_random(P, 1.0, 1.0, seed), UniformGrid(T=1.0 / K, K=K))
+    peak = np.max(np.abs(gamma.values))
+
+    def jumps(lam):
+        y, residue = fold_ideal(gamma, lam)
+        steps = finite_difference(residue.values, 1, circular=True)
+        return y, np.flatnonzero(np.abs(steps) > 1e-9 * lam)
+
+    lo, hi = 1e-6 * peak, 2.0 * peak
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if len(jumps(mid)[1]) > M_target else (lo, mid)
+    y, k = jumps(hi)
+    return y, len(k), k
+
+
+@pytest.mark.parametrize("K, P, M_target, seed", [(1024, 10, 128, 0), (1024, 5, 256, 1)])
+def test_dense_captures(K, P, M_target, seed):
+    y, M, k = _dense_capture(seed, K, P, M_target)
+    assert M_target - 8 <= M <= M_target
+    z = _bins(y, P)
+    support = grid_support(z, K, M)
+    np.testing.assert_array_equal(support, _reference.grid_support(z, K, M))
+    np.testing.assert_array_equal(support, k)

@@ -122,6 +122,18 @@ class TestLoadCapture:
         with pytest.raises(CaptureFormatError):
             load_capture(_write(tmp_path, "time,modulo\n0.0,1.0\n"))
 
+    @pytest.mark.parametrize("data, line, byte", [
+        (b"# note \xb5s\ntime,modulo\n0,1\n0.1,2\n", 1, "0xb5"),  # a Latin-1 micro sign
+        (b"time,modulo\n0,1\n0.1,2\n\n# gain \xff\n", 5, "0xff"),
+    ])
+    def test_byte_that_is_not_utf8_reports_line(self, tmp_path, data, line, byte):
+        path = tmp_path / "capture.csv"
+        path.write_bytes(data)
+        with pytest.raises(CaptureFormatError) as err:
+            load_capture(path)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: byte {byte} is not UTF-8 text"
+
     def test_round_trip(self, tmp_path):
         time = np.arange(5) * 0.25
         modulo = np.array([0.1, -0.2, 0.3, -0.4, 0.5])

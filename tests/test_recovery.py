@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import annihilator, build_toeplitz_tall, matrix_pencil
 from _trials import fixpoint_trial, nonideal_trials
 
 from modsample import (
@@ -16,17 +17,14 @@ from modsample import (
     SampleVector,
     UndersampledError,
     UniformGrid,
-    annihilator,
     anti_difference,
     apply_residue,
-    build_toeplitz_tall,
     calibrated_mse,
     dynamic_range,
     extract_out_of_band,
     finite_difference,
     fold_ideal,
     fourier_prony_recover,
-    matrix_pencil,
     mse,
     optimize_lambda,
     round_beta,

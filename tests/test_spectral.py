@@ -5,19 +5,17 @@ fitting."""
 import numpy as np
 import pytest
 
+from _reference import annihilator, build_toeplitz_tall, matrix_pencil
 from modsample import (
     SampleVector,
     UndersampledError,
     UniformGrid,
     amplitudes_ls,
-    annihilator,
     band_partition,
-    build_toeplitz_tall,
     extract_out_of_band,
     finite_difference,
     fourier_prony_recover,
     grid_support,
-    matrix_pencil,
     sample,
     synthesize_random,
 )
