@@ -32,7 +32,7 @@ class ResidueSpec:
 
     def __post_init__(self):
         k = np.asarray(self.k)
-        if k.size and not np.issubdtype(k.dtype, np.integer):
+        if k.size and k.dtype.kind not in "iu":
             raise ValueError(f"fold indices must be integers, got {k.dtype}")
         k = k.astype(np.intp)
         c = np.array(self.c, dtype=float)
@@ -40,7 +40,7 @@ class ResidueSpec:
             raise ValueError(f"k and c must be 1-D and match, got {k.shape}, {c.shape}")
         if self.K < 1:
             raise ValueError(f"K must be a positive integer, got {self.K}")
-        if np.any(k[1:] <= k[:-1]):
+        if np.count_nonzero(k[1:] <= k[:-1]):
             raise ValueError("fold indices must be strictly increasing")
         if k.size and (k[0] < 0 or k[-1] >= self.K):
             raise ValueError(f"fold indices must lie in [0, K={self.K})")
@@ -54,7 +54,7 @@ class ResidueSpec:
     def values(self) -> np.ndarray:
         """The K residue samples: r[n] is the sum of the jumps with k[m] <= n,
         added in jump order."""
-        return np.cumsum(np.bincount(self.k, weights=self.c, minlength=self.K))
+        return np.bincount(self.k, weights=self.c, minlength=self.K).cumsum()
 
 
 @dataclass(frozen=True)
@@ -97,22 +97,23 @@ def fold_ideal(gamma: SampleVector, threshold: float):
     Returns (y, residue) with y = centered modulo of the samples and
     residue = gamma - y snapped to the exact 2*lambda grid.
     """
-    y = centered_modulo(gamma.values, threshold)
-    residue = gamma.values - y
-    k = np.round(residue / (2.0 * threshold))
+    values = gamma.values
+    residue = values - centered_modulo(values, threshold)
+    k = (residue / (2.0 * threshold)).round()
     snapped = 2.0 * threshold * k
-    if np.max(np.abs(residue - snapped), initial=0.0) > 1e-9 * threshold * np.maximum(
-        1.0, np.max(np.abs(k), initial=0.0)
-    ):
+    # array methods, not the np.max / np.maximum wrappers: on grids of tens
+    # of samples the wrappers' dispatch is most of the cost
+    if abs(residue - snapped).max(initial=0.0) > 1e-9 * threshold * abs(k).max(initial=1.0):
         raise AssertionError("ideal residue fell off the 2*lambda grid")
-    return gamma.with_values(gamma.values - snapped), gamma.with_values(snapped)
+    return gamma.with_values(values - snapped), gamma.with_values(snapped)
 
 
 def residue_spec_from_samples(residue: SampleVector, tau: float) -> ResidueSpec:
     """Jumps of residue samples: one at each grid index where the samples
     change (the residue before the first sample is 0)."""
     r = residue.values
-    jumps = r - np.concatenate(([0.0], r[:-1]))
+    jumps = r.copy()  # r[0] - 0.0 is r[0]
+    jumps[1:] -= r[:-1]
     k = jumps.nonzero()[0]
     return ResidueSpec(k=k, c=jumps[k], K=residue.grid.K, tau=tau)
 

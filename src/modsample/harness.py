@@ -50,7 +50,9 @@ class ExperimentConfig:
     """Description of one experiment run; the source, a synthetic one or a
     capture file, fixes the grid. Recovery uses the bandwidth index
     ceil(P_used * (1 + p_inflation)), with P_used defaulting to the
-    source's P, and M defaults to the source's fold count."""
+    source's P, and M defaults to the source's fold count. A lambda grid
+    searches the baseline's threshold against the truth, so it needs
+    method 'usf' or 'both' and a source that knows the truth."""
 
     method: str = "fp"  # fp | usf | both
     source: Optional[SyntheticSource] = None
@@ -69,6 +71,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not self.p_inflation >= 0:
             raise ValueError(f"p_inflation must be nonnegative, got {self.p_inflation!r}")
+        if self.lambda_grid is not None and self.method == "fp":
+            raise ValueError(
+                "the lambda grid tunes the baseline's threshold, so it needs "
+                "method 'usf' or 'both', not 'fp'"
+            )
 
 
 @dataclass(frozen=True)
@@ -269,9 +276,8 @@ def realized_fold_count(spec: folding.ResidueSpec, grid: signal_model.UniformGri
     wrap spike when the jumps do not cancel."""
     if spec.K != grid.K:
         raise ValueError(f"fold spec has K={spec.K}, the grid K={grid.K}")
-    rbar = folding.finite_difference(spec.values(), 1, circular=True)
-    scale = max(np.max(np.abs(rbar), initial=0.0), 1.0)
-    return int(np.sum(np.abs(rbar) > 1e-12 * scale))
+    spikes = abs(folding.finite_difference(spec.values(), 1, circular=True))
+    return int((spikes > 1e-12 * max(spikes.max(initial=0.0), 1.0)).sum())
 
 
 def _fmt(value) -> str:
@@ -338,6 +344,11 @@ def _measure(cfg: ExperimentConfig):
 
 def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
     grid, y, gamma_values, tau, P, folds = _measure(cfg)
+    if cfg.lambda_grid is not None and gamma_values is None:
+        raise ValueError(
+            "the lambda grid scores each threshold against the truth, and the "
+            "capture has no truth column"
+        )
     P_used = int(math.ceil(P * (1.0 + cfg.p_inflation)))
     M = cfg.M if cfg.M is not None else folds
     if M is None:
@@ -393,7 +404,7 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
         except ModsampleError as exc:
             metrics["MSE_US"] = None
             metrics["US_error"] = str(exc)
-        if cfg.lambda_grid is not None and gamma_values is not None:
+        if cfg.lambda_grid is not None:
             lo, hi, step = cfg.lambda_grid
             try:
                 lam_opt, opt_report = recovery.optimize_lambda(

@@ -98,9 +98,14 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
     noiseless folds whenever K >= 2(P+M+1), and the folding threshold is
     never consulted.
 
-    The amplitudes are fitted on the out-of-band bins n <= K/2 only: the
-    other half are their conjugates. ``diagnostics["fit_residual"]`` is
-    the residual norm of that half-band fit.
+    The amplitudes are fitted by least squares over every out-of-band bin,
+    solved in the time domain as an M x M high-pass Gram system
+    (:func:`spectral.amplitudes_ls`); a singular system raises
+    RecoveryError at step 4. ``diagnostics["fit_residual"]`` is the norm of
+    the fit's misfit over the out-of-band bins n <= K/2,
+    ||DFT(spikes)[n] + bins[n]|| for P < n <= K/2, where bins is the DFT of
+    the differenced samples: the other out-of-band bins are the conjugates
+    of these.
 
     Parameters
     ----------
@@ -136,18 +141,16 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
     # exactly to 2P+1 DFT bins, so the out-of-band bins carry only the
     # (negated) spike spectrum
     ybar = folding.finite_difference(y.values, 1, circular=True)
-    z, n_idx = spectral.extract_out_of_band(np.fft.fft(ybar), P)
+    bins = np.fft.fft(ybar)
+    z, _ = spectral.extract_out_of_band(bins, P)
 
-    # step 4: spike support on the grid and real amplitudes
+    # step 4: spike support on the grid and real amplitudes; a singular
+    # amplitude system raises LinAlgError, a ValueError
     try:
         k_hat = spectral.grid_support(z, K, M)
+        c_hat, residual = spectral.amplitudes_ls(bins, P, k_hat)
     except ValueError as exc:
         raise RecoveryError(str(exc), step=4) from exc
-    # z = -spike spectrum on the out-of-band set, hence the sign flip; the
-    # spike train is real, so bin K-n is the conjugate of bin n and the bins
-    # n <= K/2 carry every equation
-    half = n_idx <= K // 2
-    c_hat, residual = spectral.amplitudes_ls(-z[half], n_idx[half], k_hat, K)
     diagnostics["fit_residual"] = residual
 
     # step 5: the differenced residue is c_hat at the support

@@ -97,7 +97,7 @@ class SampleVector:
         return self.grid.K
 
     def with_values(self, values: np.ndarray) -> "SampleVector":
-        return SampleVector(values=np.asarray(values, dtype=float), grid=self.grid)
+        return SampleVector(values=values, grid=self.grid)
 
 
 def synthesize_random(P: int, tau: float, amplitude: float, seed) -> TrigPolynomial:

@@ -5,8 +5,9 @@ Folding instants lie on the sampling grid by model, so the first difference
 of the residue is a train of M spikes at integer indices k_m of the L-point
 grid, and its DFT is sum_m c_m xi_m^n with xi_m = exp(-2j pi k_m / L).
 :func:`grid_support` finds the indices k_m on the grid and never roots a
-polynomial; :func:`amplitudes_ls` fits the c_m with xi_m^n read from the L
-roots of unity. Spikes are never held as roots or instants in seconds.
+polynomial; :func:`amplitudes_ls` fits the c_m over the out-of-band bins
+as an M x M high-pass Gram solve in the time domain, with no Vandermonde
+matrix. Spikes are never held as roots or instants in seconds.
 """
 
 from __future__ import annotations
@@ -131,28 +132,46 @@ def grid_support(z, L: int, M: int) -> np.ndarray:
     return np.sort(np.argpartition(power, M - 1)[:M])
 
 
-def amplitudes_ls(z, n_idx, k, L: int) -> tuple[np.ndarray, float]:
-    """Real spike amplitudes from least squares on
-    z[i] ~ sum_m c[m] exp(-2j pi k[m] n_idx[i] / L).
+def amplitudes_ls(bins, P: int, k) -> tuple[np.ndarray, float]:
+    """Real spike amplitudes c at the grid indices k from least squares over
+    every out-of-band bin of the K-point DFT `bins` of the differenced
+    samples, where bins = -(spike spectrum) + (2P+1 in-band bins).
 
-    k holds the spikes' distinct grid indices. Each Vandermonde entry is
-    read from a table of the L roots of unity at (k n) mod L, so every
-    entry is accurate to rounding, however large n gets. The complex system
-    is stacked into its real and imaginary parts so the solution is
-    constrained real. Returns (c, residual_norm).
+    By Parseval, fitting c over the out-of-band bins is a least-squares fit
+    of the high-pass part of the time-domain residual ybar + E c, where E
+    places c at the indices k: the high-pass samples h (the bins with
+    [0, P] and [K-P, K) zeroed, transformed back) are matched by the
+    high-pass part of the spike train. The normal equations are the M x M
+    system ([k_i == k_j] - l[(k_i - k_j) mod K]) c = -h[k], with l the
+    low-pass kernel (1/K) sum_{|p|<=P} cos(2 pi p d / K). For distinct
+    indices the matrix is I - l[...], symmetric and positive definite
+    unless some spike train on the support is bandlimited; numpy raises
+    LinAlgError (a ValueError) when it is singular, as it is for a repeated
+    index. The cost is three length-K real FFTs and one M x M solve.
+
+    Returns (c, residual), where residual is the norm of the fit's misfit
+    over the out-of-band bins n <= K/2.
     """
-    z = np.asarray(z, dtype=complex)
-    n_idx = np.asarray(n_idx)
+    bins = np.asarray(bins)
+    K = len(bins)
     k = np.asarray(k)
     M = len(k)
     if M < 1:
         raise ValueError("need at least one spike")
-    if len(z) < M:
-        raise UndersampledError(f"need at least M={M} equations, got {len(z)}")
-    roots = np.exp(-2j * np.pi * np.arange(L) / L)
-    V = roots[np.outer(n_idx, k) % L]
-    A = np.vstack([V.real, V.imag])
-    b = np.concatenate([z.real, z.imag])
-    c, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.linalg.norm(A @ c - b))
+    if P < 0:
+        raise ValueError("P must be nonnegative")
+    half = K // 2 + 1
+    if half - (P + 1) < M:
+        raise UndersampledError(f"need at least M={M} equations, got {half - (P + 1)}")
+    high = bins[:half].copy()
+    high[: P + 1] = 0.0
+    h = np.fft.irfft(high, n=K)
+    low = np.zeros(half)
+    low[: P + 1] = 1.0
+    kernel = np.fft.irfft(low, n=K)
+    gram = np.equal.outer(k, k) - kernel[np.subtract.outer(k, k) % K]
+    c = np.linalg.solve(gram, -h[k])
+    spikes = np.zeros(K)
+    spikes[k] = c
+    residual = float(np.linalg.norm(np.fft.rfft(spikes)[P + 1 :] + bins[P + 1 : half]))
     return c, residual

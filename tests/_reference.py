@@ -6,7 +6,9 @@ oracles.
 any contiguous bins, conjugate-symmetric or not. The annihilating filter
 (:func:`build_toeplitz_tall`, :func:`annihilator`) and the matrix pencil
 (:func:`matrix_pencil`) estimate the spike roots off the grid, for the
-agreement checks of criterion 8.
+agreement checks of criterion 8. :func:`amplitudes_ls` is the Vandermonde
+least-squares fit over the out-of-band bins that the time-domain Gram solve
+of :func:`modsample.spectral.amplitudes_ls` replaced.
 """
 
 from __future__ import annotations
@@ -126,3 +128,30 @@ def matrix_pencil(z, M: int, Q: int | None = None) -> np.ndarray:
     sm = s[:M]
     core = (Um.conj().T @ Y1 @ Vm) / sm[:, None]
     return np.linalg.eigvals(core)
+
+
+def amplitudes_ls(z, n_idx, k, L: int) -> tuple[np.ndarray, float]:
+    """Real spike amplitudes from least squares on
+    z[i] ~ sum_m c[m] exp(-2j pi k[m] n_idx[i] / L).
+
+    k holds the spikes' distinct grid indices. Each Vandermonde entry is
+    read from a table of the L roots of unity at (k n) mod L, so every
+    entry is accurate to rounding, however large n gets. The complex system
+    is stacked into its real and imaginary parts so the solution is
+    constrained real. Returns (c, residual_norm).
+    """
+    z = np.asarray(z, dtype=complex)
+    n_idx = np.asarray(n_idx)
+    k = np.asarray(k)
+    M = len(k)
+    if M < 1:
+        raise ValueError("need at least one spike")
+    if len(z) < M:
+        raise UndersampledError(f"need at least M={M} equations, got {len(z)}")
+    roots = np.exp(-2j * np.pi * np.arange(L) / L)
+    V = roots[np.outer(n_idx, k) % L]
+    A = np.vstack([V.real, V.imag])
+    b = np.concatenate([z.real, z.imag])
+    c, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
+    residual = float(np.linalg.norm(A @ c - b))
+    return c, residual

@@ -254,6 +254,39 @@ class TestRecover:
         )
         assert code == 2
 
+    def test_lambda_grid_under_fp_is_config_error(self, tmp_path, capsys):
+        capture = _simulate(tmp_path)
+        out = tmp_path / "o"
+        code = main(
+            ["recover", "--input", str(capture), "--P", "6", "--lambda", "1",
+             "--method", "fp", "--lambda-grid", "0.55:1.45:0.01",
+             "--output-dir", str(out)]
+        )
+        assert code == 2
+        assert "needs method 'usf' or 'both'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lambda_grid_without_truth_column_is_config_error(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert main(
+            ["simulate", "--tau", "1", "--K", "256", "--P", "3", "--lambda", "1",
+             "--seed", "3", "--output-dir", str(sim)]
+        ) == 0
+        capture = harness.load_capture(sim / "capture.csv")
+        bare = tmp_path / "bare.csv"
+        harness.write_capture(bare, capture.time, capture.modulo,
+                              metadata={"tau": 1.0, "folds": capture.metadata["folds"]})
+        out = tmp_path / "rec"
+        capsys.readouterr()
+        code = main(
+            ["recover", "--input", str(bare), "--P", "3", "--lambda", "1",
+             "--method", "both", "--lambda-grid", "0.55:1.45:0.01",
+             "--output-dir", str(out)]
+        )
+        assert code == 2
+        assert "capture has no truth column" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usf_without_threshold_is_config_error(self, tmp_path):
         capture = _simulate(tmp_path)
         code = main(

@@ -477,6 +477,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(source=self._SRC, capture_path="x.csv")
 
+    def test_lambda_grid_needs_the_baseline(self):
+        with pytest.raises(ValueError, match="needs method 'usf' or 'both'"):
+            ExperimentConfig(source=self._SRC, method="fp", lambda_grid=(0.5, 1.5, 0.1))
+        for method in ("usf", "both"):
+            ExperimentConfig(source=self._SRC, method=method, lambda_grid=(0.5, 1.5, 0.1))
+
     def test_method_and_p_inflation_validated(self):
         with pytest.raises(ValueError):
             ExperimentConfig(source=self._SRC, method="bogus")
@@ -573,6 +579,20 @@ class TestRunExperiment:
         # with no truth to match, the zero-mean estimate is written as is
         recon = _read_table(tmp_path / "out" / "reconstruction.csv")
         _assert_cells_equal(recon["gamma_fd"], fourier_prony_recover(y, 4, M).gamma_hat.values)
+
+    def test_lambda_grid_without_truth_writes_nothing(self, tmp_path):
+        src = _synthetic_config().source
+        _, y, spec = synthesize_measurement(src)
+        path = tmp_path / "cap.csv"
+        write_capture(path, src.grid.times, y.values, metadata={"tau": repr(1.0)})
+        cfg = ExperimentConfig(
+            method="both", capture_path=str(path), P_used=4,
+            M=realized_fold_count(spec, src.grid), threshold=1.0,
+            lambda_grid=(0.55, 1.45, 0.01), output_dir=str(tmp_path / "out"),
+        )
+        with pytest.raises(ValueError, match="capture has no truth column"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_capture_fixes_grid_and_m(self, tmp_path):
         path = _write(tmp_path, "# folds = 0\n" + THREE_COL)

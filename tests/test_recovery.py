@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from _reference import annihilator, build_toeplitz_tall, matrix_pencil
 from _trials import fixpoint_trial, nonideal_trials
 
+from modsample import spectral
 from modsample import (
     FoldConsistencyError,
     ModsampleError,
@@ -197,6 +198,16 @@ class TestFourierPronyRecover:
         with pytest.raises(RecoveryError) as err:
             fourier_prony_recover(trial.y.with_values(values), trial.P, trial.M)
         assert err.value.step == 4
+
+    def test_singular_amplitude_system_carries_step_4(self, monkeypatch):
+        # a support with a repeated index makes the amplitude system singular;
+        # numpy's LinAlgError is a ValueError, reported as a recovery failure
+        monkeypatch.setattr(spectral, "grid_support", lambda z, L, M: np.zeros(M, np.intp))
+        trial = fixpoint_trial(seed=17, P=5, amplitude=4.5)
+        with pytest.raises(RecoveryError) as err:
+            fourier_prony_recover(trial.y, trial.P, trial.M)
+        assert err.value.step == 4
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestUsfRecover:

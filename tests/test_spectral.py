@@ -5,6 +5,7 @@ fitting."""
 import numpy as np
 import pytest
 
+from _reference import amplitudes_ls as reference_amplitudes_ls
 from _reference import annihilator, build_toeplitz_tall, matrix_pencil
 from modsample import (
     SampleVector,
@@ -19,6 +20,7 @@ from modsample import (
     sample,
     synthesize_random,
 )
+from modsample.harness import SyntheticSource, realized_fold_count, synthesize_measurement
 
 
 def spike_spectrum(k_indices, amplitudes, L, P):
@@ -226,64 +228,169 @@ class TestMatrixPencil:
             matrix_pencil(z[:3], 2)
 
 
+def differenced_bins(k, c, K, P, seed=0):
+    """K-point DFT of differenced samples whose spike part is the
+    amplitudes c at grid indices k: a random real bandlimited part on the
+    bins [0, P] and [K-P, K), minus the spike spectrum."""
+    rng = np.random.default_rng(seed)
+    spikes = np.zeros(K)
+    spikes[np.asarray(k)] = c
+    in_band = np.zeros(K // 2 + 1, dtype=complex)
+    in_band[: P + 1] = rng.normal(size=P + 1) + 1j * rng.normal(size=P + 1)
+    in_band[0] = in_band[0].real
+    return np.fft.fft(np.fft.irfft(in_band, n=K) * K - spikes)
+
+
+def oracle_fit(bins, P, k):
+    """The Vandermonde fit over the out-of-band bins n <= K/2."""
+    K = len(bins)
+    z, n = extract_out_of_band(bins, P)
+    half = n <= K // 2
+    return reference_amplitudes_ls(-z[half], n[half], k, K)
+
+
+def planted(K, P, M, seed, adjacent=False):
+    """(bins, k, c) of M random spikes; with `adjacent`, two of them sit
+    on neighbouring grid indices."""
+    rng = np.random.default_rng(seed)
+    if adjacent:  # M-1 even indices, and the odd one after the first
+        k = np.sort(rng.choice(np.arange(0, K - 1, 2), size=M - 1, replace=False))
+        k = np.sort(np.append(k, k[0] + 1))
+    else:
+        k = np.sort(rng.choice(K, size=M, replace=False))
+    c = rng.uniform(-2.0, 2.0, size=M)
+    return differenced_bins(k, c, K, P, seed), k, c
+
+
 class TestAmplitudesLs:
     def test_single_amplitude(self):
-        n = np.arange(3, 20)
-        xi = np.exp(-2j * np.pi * 21 / 100)
-        c, residual = amplitudes_ls(2.0 * xi**n, n, [21], 100)
+        bins = differenced_bins([21], [2.0], 100, 2)
+        c, residual = amplitudes_ls(bins, 2, [21])
         assert c[0] == pytest.approx(2.0, abs=1e-10)
         assert residual < 1e-9
 
     def test_two_spikes(self):
-        z, n, _ = spike_spectrum([6, 25], [1.25, -0.75], 64, 2)
-        c, _ = amplitudes_ls(z, n, [6, 25], 64)
+        bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
+        c, _ = amplitudes_ls(bins, 2, [6, 25])
         np.testing.assert_allclose(c, [1.25, -0.75], atol=1e-9)
 
     def test_planted_amplitudes_at_large_L(self):
-        # 16 spikes on an 8192-point grid, fitted over every out-of-band bin:
-        # a power xi^n of a rounded root loses accuracy as n grows, while a
-        # root-of-unity table entry is exact to rounding at any n
+        # 16 spikes on an 8192-point grid, fitted over every out-of-band bin
         L, P, M = 8192, 20, 16
         rng = np.random.default_rng(5)
         k = np.sort(rng.choice(L, size=M, replace=False))
         c_true = rng.uniform(-2.0, 2.0, size=M)
-        spikes = np.zeros(L)
-        spikes[k] = c_true
-        z, n = extract_out_of_band(np.fft.fft(spikes), P)
-        c, _ = amplitudes_ls(z, n, k, L)
+        c, _ = amplitudes_ls(differenced_bins(k, c_true, L, P), P, k)
         assert np.max(np.abs(c - c_true)) <= 1e-14 * np.max(np.abs(c_true))
 
     @pytest.mark.parametrize("L", [64, 65])
-    def test_half_band_matches_full_band(self, L):
+    def test_matches_half_band_and_full_band_oracle(self, L):
         # a real spike train has bin L-n equal to the conjugate of bin n, so
-        # the out-of-band bins n <= L/2 (at even L the Nyquist bin is one of
-        # them) fit the same amplitudes as the whole band
+        # the Vandermonde fits over the out-of-band bins n <= L/2 (at even L
+        # the Nyquist bin is one of them) and over the whole band agree
+        # with the time-domain fit
         P, M = 3, 9
         rng = np.random.default_rng(L)
         k = np.sort(rng.choice(L, size=M, replace=False))
         c_true = rng.uniform(-2.0, 2.0, size=M)
-        spikes = np.zeros(L)
-        spikes[k] = c_true
-        z, n = extract_out_of_band(np.fft.fft(spikes), P)
+        bins = differenced_bins(k, c_true, L, P)
+        z, n = extract_out_of_band(bins, P)
         half = n <= L // 2
         assert (2 * n[half][-1] == L) == (L % 2 == 0)
-        c_full, _ = amplitudes_ls(z, n, k, L)
-        c_half, _ = amplitudes_ls(z[half], n[half], k, L)
-        assert np.max(np.abs(c_half - c_full)) <= 1e-12 * np.max(np.abs(c_true))
+        c, _ = amplitudes_ls(bins, P, k)
+        c_full, _ = reference_amplitudes_ls(-z, n, k, L)
+        c_half, _ = reference_amplitudes_ls(-z[half], n[half], k, L)
+        assert np.max(np.abs(c_half - c)) <= 1e-12 * np.max(np.abs(c_true))
+        assert np.max(np.abs(c_full - c)) <= 1e-12 * np.max(np.abs(c_true))
 
     def test_noise_stability(self):
-        z, n, _ = spike_spectrum([6, 25], [1.25, -0.75], 64, 2)
-        noise = np.random.default_rng(0).normal(size=len(z)) * 1e-6
-        c0, _ = amplitudes_ls(z, n, [6, 25], 64)
-        c1, _ = amplitudes_ls(z + noise, n, [6, 25], 64)
+        bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
+        noise = np.fft.fft(np.random.default_rng(0).normal(size=64)) * 1e-6
+        c0, _ = amplitudes_ls(bins, 2, [6, 25])
+        c1, _ = amplitudes_ls(bins + noise, 2, [6, 25])
         assert np.max(np.abs(c1 - c0)) < 1e-3  # O(eps) with factor < 1e3
 
     def test_overfit_spike_has_tiny_amplitude(self):
         # asking the grid support for M+1 spikes on M-spike data picks the
         # true indices plus one more, whose amplitude fits to nearly zero
-        z, n, _ = spike_spectrum([6, 25], [1.25, -0.75], 64, 2)
+        bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
+        z, _ = extract_out_of_band(bins, 2)
         k = grid_support(z, 64, 3)
         assert {6, 25} < set(k.tolist())
-        c, _ = amplitudes_ls(z, n, k, 64)
+        c, _ = amplitudes_ls(bins, 2, k)
         spurious = c[~np.isin(k, [6, 25])]
         assert len(spurious) == 1 and abs(spurious[0]) < 1e-8
+
+    @pytest.mark.parametrize(
+        "K, P, M, adjacent",
+        [
+            (64, 3, 9, False),  # Nyquist bin present
+            (65, 3, 9, False),  # no Nyquist bin
+            (48, 0, 11, False),
+            (49, 0, 11, True),
+            (72, 4, 12, True),
+            (1024, 10, 256, False),  # M = K/4, the true support given
+            (8192, 20, 16, False),
+        ],
+    )
+    def test_agrees_with_oracle_on_planted_spikes(self, K, P, M, adjacent):
+        bins, k, c_true = planted(K, P, M, seed=K + M, adjacent=adjacent)
+        c, residual = amplitudes_ls(bins, P, k)
+        c_ref, residual_ref = oracle_fit(bins, P, k)
+        scale = np.max(np.abs(c_true))
+        assert np.max(np.abs(c - c_ref)) <= 1e-12 * scale
+        assert np.max(np.abs(c - c_true)) <= 1e-12 * scale
+        z, _ = extract_out_of_band(bins, P)
+        assert abs(residual - residual_ref) <= 1e-12 * np.linalg.norm(z)
+
+    @pytest.mark.parametrize("K", [65, 257])
+    def test_residual_matches_oracle_on_a_wrong_support(self, K):
+        # without a Nyquist bin both fits solve the same least-squares
+        # problem, so they agree to rounding also where it has no exact fit
+        bins, k, _ = planted(K, 4, 12, seed=K)
+        c, residual = amplitudes_ls(bins, 4, k[:-1])
+        c_ref, residual_ref = oracle_fit(bins, 4, k[:-1])
+        z, _ = extract_out_of_band(bins, 4)
+        assert residual > 1e-3 * np.linalg.norm(z)  # a misfit far above rounding
+        assert abs(residual - residual_ref) <= 1e-12 * np.linalg.norm(z)
+        assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
+
+    @pytest.mark.parametrize(
+        "K, P, seed",
+        [(256, 2, 0), (512, 4, 1), (512, 6, 2), (1024, 5, 3), (2048, 8, 4), (1001, 5, 5)],
+    )
+    def test_agrees_with_oracle_on_8bit_captures(self, K, P, seed):
+        # the time-domain fit weights the Nyquist bin once against twice for
+        # every other out-of-band bin, where the half-band fit weights all
+        # alike: at even K the two differ at noise level, and the half-band
+        # fit has the smaller half-band residual, which it minimizes
+        src = SyntheticSource(P=P, tau=1.0, K=K, amplitude=4.0, seed=seed,
+                              threshold=1.0, bits=8)
+        _, y, spec = synthesize_measurement(src)
+        bins = np.fft.fft(finite_difference(y.values, 1, circular=True))
+        z, _ = extract_out_of_band(bins, P)
+        k = grid_support(z, K, realized_fold_count(spec, src.grid))
+        c, residual = amplitudes_ls(bins, P, k)
+        c_ref, residual_ref = oracle_fit(bins, P, k)
+        if K % 2:
+            assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
+            assert residual == pytest.approx(residual_ref, rel=1e-12)
+        else:
+            assert np.max(np.abs(c - c_ref)) <= 1e-3 * np.max(np.abs(c_ref))
+            assert residual_ref * (1 - 1e-12) <= residual <= residual_ref * 1.001
+
+    def test_validation(self):
+        bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
+        with pytest.raises(ValueError):
+            amplitudes_ls(bins, 2, [])
+        with pytest.raises(ValueError):
+            amplitudes_ls(bins, -1, [6])
+        with pytest.raises(UndersampledError):
+            amplitudes_ls(bins, 31, [6, 25])  # one out-of-band bin n <= K/2
+
+    def test_singular_gram_raises_value_error(self):
+        # a repeated index makes two equal rows; LinAlgError is a ValueError
+        bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            amplitudes_ls(bins, 2, [6, 6])
+        assert isinstance(err.value, ValueError)
