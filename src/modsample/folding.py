@@ -78,17 +78,20 @@ class NonIdealityConfig:
             raise ValueError("spurious_amp_max must be >= 0")
 
 
-def centered_modulo(x, threshold: float):
+def centered_modulo(x, threshold):
     """Centered modulo: wrap x into [-threshold, threshold).
 
     Computes 2*lam*(frac(x/2lam + 1/2) - 1/2) with frac(u) = u - floor(u).
+    The threshold may be an array that broadcasts against x, such as a
+    column of thresholds for rows of copies of x.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
     lam = threshold
+    # numpy reductions would cost more than the wrap itself on short inputs
+    if (lam <= 0).any() if isinstance(lam, np.ndarray) else lam <= 0:
+        raise ValueError("threshold must be positive")
     u = np.asarray(x, dtype=float) / (2.0 * lam) + 0.5
     out = 2.0 * lam * ((u - np.floor(u)) - 0.5)
-    return out if np.ndim(x) else float(out)
+    return out if np.ndim(out) else float(out)
 
 
 def fold_ideal(gamma: SampleVector, threshold: float):

@@ -71,11 +71,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not self.p_inflation >= 0:
             raise ValueError(f"p_inflation must be nonnegative, got {self.p_inflation!r}")
-        if self.lambda_grid is not None and self.method == "fp":
-            raise ValueError(
-                "the lambda grid tunes the baseline's threshold, so it needs "
-                "method 'usf' or 'both', not 'fp'"
-            )
+        if self.lambda_grid is not None:
+            if self.method == "fp":
+                raise ValueError(
+                    "the lambda grid tunes the baseline's threshold, so it needs "
+                    "method 'usf' or 'both', not 'fp'"
+                )
+            lo, hi, step = self.lambda_grid
+            if not (all(map(math.isfinite, self.lambda_grid)) and 0 < lo <= hi and step > 0):
+                raise ValueError(
+                    f"lambda_grid must be finite (lo, hi, step) with 0 < lo <= hi "
+                    f"and step > 0, got {self.lambda_grid!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -303,18 +310,17 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one experiment and write metrics / reconstruction / spectrum files.
 
     The metrics echo the config as given, plus the T, K and M the run
-    resolved. Returns the metrics dict with unformatted values. Partial
-    outputs are removed on failure.
+    resolved. Returns the metrics dict with unformatted values. On failure
+    the files this run began to write are removed; those an earlier run
+    left in the output directory stay.
     """
     out_dir = Path(cfg.output_dir) if cfg.output_dir else None
+    written: list = []
     try:
-        return _run_experiment_inner(cfg, out_dir)
+        return _run_experiment_inner(cfg, out_dir, written)
     except Exception:
-        if out_dir is not None:
-            for name in ("metrics.txt", "reconstruction.csv", "spectrum.csv"):
-                target = out_dir / name
-                if target.exists():
-                    target.unlink()
+        for target in written:
+            target.unlink(missing_ok=True)
         raise
 
 
@@ -342,7 +348,8 @@ def _measure(cfg: ExperimentConfig):
     )
 
 
-def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
+def _run_experiment_inner(cfg: ExperimentConfig, out_dir, written: list) -> dict:
+    """The run; each output path goes on `written` before it is opened."""
     grid, y, gamma_values, tau, P, folds = _measure(cfg)
     if cfg.lambda_grid is not None and gamma_values is None:
         raise ValueError(
@@ -426,10 +433,12 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
         # recovery is zero-mean; shift the written estimates to the truth's mean
         mean = 0.0 if gamma_values is None else float(np.mean(gamma_values))
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_metrics(out_dir / "metrics.txt", metrics)
+        written.append(out_dir / "metrics.txt")
+        _write_metrics(written[-1], metrics)
         k = np.arange(grid.K)
+        written.append(out_dir / "reconstruction.csv")
         _write_table(
-            out_dir / "reconstruction.csv",
+            written[-1],
             {
                 "k": k,
                 "t": k * grid.T,
@@ -441,7 +450,8 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir) -> dict:
                 "residue_us": us_report.residue_hat.values if us_report else None,
             },
         )
-        _write_spectrum(out_dir / "spectrum.csv", y, fp_report)
+        written.append(out_dir / "spectrum.csv")
+        _write_spectrum(written[-1], y, fp_report)
     return metrics
 
 

@@ -5,10 +5,17 @@ bounds.
 Folded samples determine the signal only up to an additive constant, so
 every recovery returns the zero-mean estimate; matching the mean to a
 ground truth is left to the caller (the harness does it for its written
-tables, and `calibrated_mse` scores up to the constant)."""
+tables, and `calibrated_mse` scores up to the constant).
+
+The baseline has one implementation, a kernel that unfolds a column of
+thresholds sharing one difference order from the difference ladder of the
+samples. :func:`usf_recover` is its one-row call; :func:`optimize_lambda`
+runs it over a whole threshold grid in row blocks, and every row's
+arithmetic is that of its own one-threshold run."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -23,6 +30,11 @@ from .exceptions import (
 from .signal_model import SampleVector
 
 _EULER = float(np.e)
+# the most samples (thresholds x K) that one batch of the threshold search
+# holds in each of its arrays. Of 2**13, 2**14 and 2**15, 2**14 (128 KiB
+# arrays) ran the search fastest at most K from 256 to 8192 on a 2-vCPU x86
+# machine; 2**15 ran slower than a one-threshold loop at K = 8192
+_BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -79,10 +91,12 @@ def calibrated_mse(x, reference) -> float:
 
 
 def anti_difference(rbar) -> np.ndarray:
-    """Invert the first-difference operator: output r with r[0] = 0 and
-    Delta r == rbar (length grows by one)."""
+    """Invert the first-difference operator along the last axis: output r
+    with r[..., 0] = 0 and Delta r == rbar (length grows by one)."""
     rbar = np.asarray(rbar, dtype=float)
-    return np.concatenate([[0.0], np.cumsum(rbar)])
+    r = np.zeros(rbar.shape[:-1] + (rbar.shape[-1] + 1,))
+    np.cumsum(rbar, axis=-1, out=r[..., 1:])
+    return r
 
 
 def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
@@ -172,6 +186,70 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
     )
 
 
+def _baseline_order(y: SampleVector, threshold, beta, Omega: float, N: int | None) -> int:
+    """The baseline's difference order at one threshold: N when forced, else
+    the selection rule. Raises as the unfolding would on an order it cannot
+    run: below 1, or with no order-N difference of the samples."""
+    if N is None:
+        N = folding.choose_order(threshold, beta, y.grid.T, Omega)
+    if N < 1:
+        raise ValueError("difference order must be >= 1")
+    if N >= y.grid.K:
+        folding.finite_difference(y.values, N)  # raises its too-few-samples error
+    return N
+
+
+def _difference_ladder(values: np.ndarray, N: int) -> list:
+    """[y, Delta y, ..., Delta^N y]: each linear difference is taken from the
+    one before it, so the ladder costs N passes over the samples."""
+    diffs = [values]
+    for _ in range(N):
+        diffs.append(folding.finite_difference(diffs[-1], 1))
+    return diffs
+
+
+def _unfold(diffs: list, lam: np.ndarray):
+    """The baseline's unfolding for a column of thresholds sharing one order.
+
+    `diffs` is the difference ladder of the samples up to the order
+    N = len(diffs) - 1, and `lam` an (R, 1) column of thresholds. Row r
+    runs the modulo identity on Delta^N y at lam[r], snaps to the 2*lam[r]
+    lattice and anti-differences N times, fixing each stage's constant by
+    the kappa shift. Each row's arithmetic is that of a one-threshold run,
+    so rows match it bitwise; the updates run in place, which changes no
+    value.
+
+    Returns (residue rows (R, K), the rows y + residue, snap distances
+    (R,), stage norms (R, N)); column n of the norms is the max norm of
+    the rebuilt order-n difference.
+    """
+    N = len(diffs) - 1
+    two_lam = 2.0 * lam
+    dNy = diffs[N]
+    eps = folding.centered_modulo(dNy, lam)
+    eps -= dNy
+    rho_n = np.round(eps / two_lam)
+    rho_n *= two_lam
+    eps -= rho_n
+    snap = np.abs(eps, out=eps).max(axis=1, initial=0.0)
+    norms = np.empty((len(lam), N))
+    for n in range(N, 0, -1):
+        rho_n = anti_difference(rho_n)
+        rho_n /= two_lam
+        np.round(rho_n, out=rho_n)
+        rho_n *= two_lam
+        dy = diffs[n - 1]
+        rebuilt = dy + rho_n
+        kappa = rebuilt.max(axis=1, keepdims=True)
+        kappa += rebuilt.min(axis=1, keepdims=True)
+        kappa = np.round(-kappa / (4.0 * lam))
+        rho_n += two_lam * kappa
+        np.add(dy, rho_n, out=rebuilt)
+        # max|x| is max(max x, -min x) exactly, without an abs pass
+        norms[:, n - 1] = np.maximum(rebuilt.max(axis=1), -rebuilt.min(axis=1))
+    return rho_n, rebuilt, snap, norms
+
+
 def usf_recover(
     y: SampleVector,
     threshold: float,
@@ -188,60 +266,79 @@ def usf_recover(
     fixed by minimizing the max norm of the partially reconstructed
     differences, which the bandlimited shrinkage bound (T*Omega*e)^n * beta
     keeps small for genuine signals; beta bounds max|gamma| (see
-    `folding.round_beta`).
+    `folding.round_beta`). This is the one-threshold run of the kernel that
+    :func:`optimize_lambda` runs over a whole threshold grid at once.
 
     With `strict`, a stage whose best constant still violates that bound
-    raises FoldConsistencyError: the data is inconsistent with ideal
-    2*threshold folds.
+    raises FoldConsistencyError, naming the first such stage from order
+    N-1 down: the data is inconsistent with ideal 2*threshold folds.
     """
-    T = y.grid.T
-    rho = T * Omega * _EULER
-    if N is None:
-        N = folding.choose_order(threshold, beta, T, Omega)
-    if N < 1:
-        raise ValueError("difference order must be >= 1")
-    lam = threshold
-    diagnostics: dict = {"N": N, "threshold": lam, "T_Omega_e": rho}
+    rho = y.grid.T * Omega * _EULER
+    N = _baseline_order(y, threshold, beta, Omega, N)
+    diagnostics: dict = {"N": N, "threshold": threshold, "T_Omega_e": rho}
 
-    dNy = folding.finite_difference(y.values, N, circular=False)
-    eps = folding.centered_modulo(dNy, lam) - dNy
-    k_mult = np.round(eps / (2.0 * lam))
-    diagnostics["snap_distance"] = float(
-        np.max(np.abs(eps - 2.0 * lam * k_mult), initial=0.0)
+    residue, raw_gamma, snap, norms = _unfold(
+        _difference_ladder(y.values, N), np.full((1, 1), threshold)
     )
-    rho_n = 2.0 * lam * k_mult
-
+    diagnostics["snap_distance"] = float(snap[0])
     bound_slack = 1e-6 * beta
-    for n in range(N, 0, -1):
-        rho_n = anti_difference(rho_n)
-        rho_n = 2.0 * lam * np.round(rho_n / (2.0 * lam))
-        dy = (
-            folding.finite_difference(y.values, n - 1, circular=False)
-            if n > 1
-            else y.values
-        )
-        s = dy + rho_n
-        kappa = np.round(-(np.max(s) + np.min(s)) / (4.0 * lam))
-        rho_n = rho_n + 2.0 * lam * kappa
-        stage_bound = rho ** (n - 1) * beta
-        stage_norm = float(np.max(np.abs(dy + rho_n)))
-        diagnostics[f"stage_{n - 1}_excess"] = stage_norm - stage_bound
+    for n in range(N - 1, -1, -1):
+        stage_norm = float(norms[0, n])
+        stage_bound = rho**n * beta
+        diagnostics[f"stage_{n}_excess"] = stage_norm - stage_bound
         if strict and stage_norm > stage_bound + bound_slack:
             raise FoldConsistencyError(
-                f"stage {n - 1}: reconstructed difference norm {stage_norm:.6g} "
+                f"stage {n}: reconstructed difference norm {stage_norm:.6g} "
                 f"exceeds the bandlimited bound {stage_bound:.6g}; data is "
                 "inconsistent with ideal folds"
             )
 
-    raw_gamma = y.values + rho_n
     return RecoveryReport(
-        gamma_hat=y.with_values(raw_gamma - np.mean(raw_gamma)),
-        residue_hat=y.with_values(rho_n),
+        gamma_hat=y.with_values(raw_gamma[0] - np.mean(raw_gamma[0])),
+        residue_hat=y.with_values(residue[0]),
         support=None,
         amplitudes=None,
         method="usf",
         diagnostics=diagnostics,
     )
+
+
+def _grid_mse(y: SampleVector, gamma_ref: SampleVector, Omega: float, grid, N):
+    """The baseline at every threshold of `grid`, scored against gamma_ref.
+
+    Returns (mse, betas, failed): the calibrated MSE and the max-norm bound
+    of each threshold, and {grid index: error text} of the thresholds whose
+    order fails, in grid order (their mse entries are NaN). The rest run in
+    one batch per order, in blocks of at most _BLOCK_CELLS samples.
+    """
+    gamma_inf = float(np.max(np.abs(gamma_ref.values)))
+    betas = np.empty(len(grid))
+    rows_of_order: dict = {}  # order -> its grid indices, ascending
+    failed = {}
+    for i, lam in enumerate(grid):
+        try:
+            betas[i] = folding.round_beta(gamma_inf, lam)
+            rows_of_order.setdefault(_baseline_order(y, lam, betas[i], Omega, N), []).append(i)
+        except Exception as exc:  # record and keep scanning
+            failed[i] = str(exc)
+
+    # row-wise, in place, and in the order of calibrated_mse's own operations
+    ref = gamma_ref.values
+    ref_mean = np.mean(ref)
+    mse_of = np.full(len(grid), np.nan)
+    diffs = _difference_ladder(y.values, max(rows_of_order, default=0))
+    per_block = max(1, _BLOCK_CELLS // y.grid.K)
+    for n, rows in rows_of_order.items():
+        for start in range(0, len(rows), per_block):
+            block = rows[start:start + per_block]
+            _, raw, _, _ = _unfold(diffs[:n + 1], grid[block][:, None])
+            raw -= raw.mean(axis=1, keepdims=True)  # usf_recover's gamma_hat
+            raw -= raw.mean(axis=1, keepdims=True)  # calibrated_mse from here on
+            raw += ref_mean
+            raw -= ref
+            # x*x is |x|**2 exactly for real x
+            mse_of[block] = np.square(raw, out=raw).mean(axis=1)
+    return mse_of, betas, failed
 
 
 def optimize_lambda(
@@ -255,31 +352,32 @@ def optimize_lambda(
 ):
     """Grid search for the folding threshold minimizing the calibrated MSE of
     the baseline reconstruction against a reference; ties break toward the
-    smallest threshold. Returns the threshold and its zero-mean report."""
+    smallest threshold. Returns the threshold and its zero-mean report.
+
+    The grid is lo, lo+step, ... up to hi. A threshold whose difference
+    order fails (by the selection rule, or the forced N) is skipped, and
+    RecoveryError names the first failure when all fail. The others run
+    through the kernel behind :func:`usf_recover` in batches of thresholds
+    that share an order, so each scores bitwise as its own
+    :func:`usf_recover` run would; the report is that run at the optimum.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
+        raise ValueError(f"need finite lo, hi and step, got {lo!r}, {hi!r}, {step!r}")
     if lo <= 0 or hi < lo or step <= 0:
         raise ValueError("need 0 < lo <= hi and step > 0")
     if gamma_ref.grid != y.grid:
         raise ValueError("gamma_ref must share the grid of y")
-    best = None
-    errors = []
     grid = np.arange(lo, hi + 0.5 * step, step)
-    for lam in grid:
-        try:
-            beta = folding.round_beta(
-                float(np.max(np.abs(gamma_ref.values))), lam
-            )
-            report = usf_recover(y, lam, Omega, beta, N=N, strict=False)
-        except Exception as exc:  # record and keep scanning
-            errors.append((float(lam), str(exc)))
-            continue
-        err = calibrated_mse(report.gamma_hat.values, gamma_ref.values)
-        if best is None or err < best[1] - 1e-15:
-            best = (float(lam), err, report)
+    mse_of, betas, failed = _grid_mse(y, gamma_ref, Omega, grid, N)
+    best = None
+    for i, err in enumerate(mse_of):
+        if i not in failed and (best is None or err < mse_of[best] - 1e-15):
+            best = i
     if best is None:
-        raise RecoveryError(
-            f"every threshold in [{lo}, {hi}] failed; first error: {errors[:1]}"
-        )
-    lam_opt, err, report = best
+        first = [(float(grid[i]), text) for i, text in failed.items()][:1]
+        raise RecoveryError(f"every threshold in [{lo}, {hi}] failed; first error: {first}")
+    lam_opt = float(grid[best])
+    report = usf_recover(y, grid[best], Omega, betas[best], N=N, strict=False)
     report.diagnostics["lambda_opt"] = lam_opt
-    report.diagnostics["lambda_opt_mse"] = err
+    report.diagnostics["lambda_opt_mse"] = float(mse_of[best])
     return lam_opt, replace(report, method="usf_opt")

@@ -8,15 +8,30 @@ any contiguous bins, conjugate-symmetric or not. The annihilating filter
 (:func:`matrix_pencil`) estimate the spike roots off the grid, for the
 agreement checks of criterion 8. :func:`amplitudes_ls` is the Vandermonde
 least-squares fit over the out-of-band bins that the time-domain Gram solve
-of :func:`modsample.spectral.amplitudes_ls` replaced.
+of :func:`modsample.spectral.amplitudes_ls` replaced. :func:`usf_recover`
+and :func:`optimize_lambda` are the baseline unfolding one threshold at a
+time and its per-threshold grid search, which the threshold-batched kernel
+of :mod:`modsample.recovery` replaced.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from modsample import UndersampledError
+from modsample import (
+    FoldConsistencyError,
+    RecoveryError,
+    RecoveryReport,
+    SampleVector,
+    UndersampledError,
+    calibrated_mse,
+    folding,
+)
+
+_EULER = float(np.e)
 
 
 def grid_support(z, L: int, M: int) -> np.ndarray:
@@ -155,3 +170,125 @@ def amplitudes_ls(z, n_idx, k, L: int) -> tuple[np.ndarray, float]:
     c, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
     residual = float(np.linalg.norm(A @ c - b))
     return c, residual
+
+
+def anti_difference(rbar) -> np.ndarray:
+    """Invert the first-difference operator: output r with r[0] = 0 and
+    Delta r == rbar (length grows by one). The one-dimensional form that
+    :func:`usf_recover` ran, kept so the oracle shares no step with the
+    batched kernel."""
+    rbar = np.asarray(rbar, dtype=float)
+    return np.concatenate([[0.0], np.cumsum(rbar)])
+
+
+def usf_recover(
+    y: SampleVector,
+    threshold: float,
+    Omega: float,
+    beta: float,
+    N: int | None = None,
+    strict: bool = True,
+) -> RecoveryReport:
+    """Baseline unfolding through higher-order finite differences.
+
+    Estimates the order-N difference of the residue from the modulo identity,
+    then anti-differences N times and returns the zero-mean estimate. At each
+    integration stage the unknown constant (a multiple of 2*threshold) is
+    fixed by minimizing the max norm of the partially reconstructed
+    differences, which the bandlimited shrinkage bound (T*Omega*e)^n * beta
+    keeps small for genuine signals; beta bounds max|gamma| (see
+    `folding.round_beta`).
+
+    With `strict`, a stage whose best constant still violates that bound
+    raises FoldConsistencyError: the data is inconsistent with ideal
+    2*threshold folds.
+    """
+    T = y.grid.T
+    rho = T * Omega * _EULER
+    if N is None:
+        N = folding.choose_order(threshold, beta, T, Omega)
+    if N < 1:
+        raise ValueError("difference order must be >= 1")
+    lam = threshold
+    diagnostics: dict = {"N": N, "threshold": lam, "T_Omega_e": rho}
+
+    dNy = folding.finite_difference(y.values, N, circular=False)
+    eps = folding.centered_modulo(dNy, lam) - dNy
+    k_mult = np.round(eps / (2.0 * lam))
+    diagnostics["snap_distance"] = float(
+        np.max(np.abs(eps - 2.0 * lam * k_mult), initial=0.0)
+    )
+    rho_n = 2.0 * lam * k_mult
+
+    bound_slack = 1e-6 * beta
+    for n in range(N, 0, -1):
+        rho_n = anti_difference(rho_n)
+        rho_n = 2.0 * lam * np.round(rho_n / (2.0 * lam))
+        dy = (
+            folding.finite_difference(y.values, n - 1, circular=False)
+            if n > 1
+            else y.values
+        )
+        s = dy + rho_n
+        kappa = np.round(-(np.max(s) + np.min(s)) / (4.0 * lam))
+        rho_n = rho_n + 2.0 * lam * kappa
+        stage_bound = rho ** (n - 1) * beta
+        stage_norm = float(np.max(np.abs(dy + rho_n)))
+        diagnostics[f"stage_{n - 1}_excess"] = stage_norm - stage_bound
+        if strict and stage_norm > stage_bound + bound_slack:
+            raise FoldConsistencyError(
+                f"stage {n - 1}: reconstructed difference norm {stage_norm:.6g} "
+                f"exceeds the bandlimited bound {stage_bound:.6g}; data is "
+                "inconsistent with ideal folds"
+            )
+
+    raw_gamma = y.values + rho_n
+    return RecoveryReport(
+        gamma_hat=y.with_values(raw_gamma - np.mean(raw_gamma)),
+        residue_hat=y.with_values(rho_n),
+        support=None,
+        amplitudes=None,
+        method="usf",
+        diagnostics=diagnostics,
+    )
+
+
+def optimize_lambda(
+    y: SampleVector,
+    gamma_ref: SampleVector,
+    Omega: float,
+    lo: float,
+    hi: float,
+    step: float,
+    N: int | None = None,
+):
+    """Grid search for the folding threshold minimizing the calibrated MSE of
+    the baseline reconstruction against a reference; ties break toward the
+    smallest threshold. Returns the threshold and its zero-mean report."""
+    if lo <= 0 or hi < lo or step <= 0:
+        raise ValueError("need 0 < lo <= hi and step > 0")
+    if gamma_ref.grid != y.grid:
+        raise ValueError("gamma_ref must share the grid of y")
+    best = None
+    errors = []
+    grid = np.arange(lo, hi + 0.5 * step, step)
+    for lam in grid:
+        try:
+            beta = folding.round_beta(
+                float(np.max(np.abs(gamma_ref.values))), lam
+            )
+            report = usf_recover(y, lam, Omega, beta, N=N, strict=False)
+        except Exception as exc:  # record and keep scanning
+            errors.append((float(lam), str(exc)))
+            continue
+        err = calibrated_mse(report.gamma_hat.values, gamma_ref.values)
+        if best is None or err < best[1] - 1e-15:
+            best = (float(lam), err, report)
+    if best is None:
+        raise RecoveryError(
+            f"every threshold in [{lo}, {hi}] failed; first error: {errors[:1]}"
+        )
+    lam_opt, err, report = best
+    report.diagnostics["lambda_opt"] = lam_opt
+    report.diagnostics["lambda_opt_mse"] = err
+    return lam_opt, replace(report, method="usf_opt")

@@ -254,6 +254,19 @@ class TestRecover:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["0.5:1.5:nan", "0.5:inf:0.1", "nan:1.5:0.1"])
+    def test_non_finite_lambda_grid_fails_before_reading(self, tmp_path, capsys, grid):
+        # the capture does not exist: reading it would exit 4
+        out = tmp_path / "o"
+        code = main(
+            ["recover", "--input", str(tmp_path / "missing.csv"), "--P", "6",
+             "--lambda", "1", "--method", "both", "--lambda-grid", grid,
+             "--output-dir", str(out)]
+        )
+        assert code == 2
+        assert "lambda_grid must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lambda_grid_under_fp_is_config_error(self, tmp_path, capsys):
         capture = _simulate(tmp_path)
         out = tmp_path / "o"
@@ -342,6 +355,17 @@ class TestRecover:
              "--output-dir", str(out)]
         ) == 3
         assert not (out / "metrics.txt").exists()
+
+    def test_failure_keeps_an_earlier_runs_outputs(self, tmp_path):
+        capture = _simulate(tmp_path)
+        out = tmp_path / "rec"
+        assert main(["recover", "--input", str(capture), "--P", "6",
+                     "--output-dir", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(before) == {"metrics.txt", "reconstruction.csv", "spectrum.csv"}
+        assert main(["recover", "--input", str(capture), "--P", "6", "--M", "200",
+                     "--output-dir", str(out)]) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestSweep:

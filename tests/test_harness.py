@@ -483,6 +483,15 @@ class TestExperimentConfig:
         for method in ("usf", "both"):
             ExperimentConfig(source=self._SRC, method=method, lambda_grid=(0.5, 1.5, 0.1))
 
+    @pytest.mark.parametrize(
+        "grid",
+        [(0.5, 1.5, float("nan")), (0.5, float("inf"), 0.1), (float("nan"), 1.5, 0.1),
+         (-float("inf"), 1.5, 0.1), (0.0, 1.5, 0.1), (1.5, 0.5, 0.1), (0.5, 1.5, 0.0)],
+    )
+    def test_lambda_grid_must_be_finite_and_ordered(self, grid):
+        with pytest.raises(ValueError, match="lambda_grid must be finite"):
+            ExperimentConfig(source=self._SRC, method="both", lambda_grid=grid)
+
     def test_method_and_p_inflation_validated(self):
         with pytest.raises(ValueError):
             ExperimentConfig(source=self._SRC, method="bogus")
@@ -662,6 +671,21 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert not (tmp_path / "metrics.txt").exists()
         assert not (tmp_path / "reconstruction.csv").exists()
+
+
+    def test_failure_mid_write_leaves_no_file_of_the_run(self, tmp_path, monkeypatch):
+        cfg = _synthetic_config(tmp_path, method="fp")
+
+        def fail(path, y, fp_report):
+            Path(path).write_text("n,abs_ybar_dft\n0,")
+            raise OSError("disk full")
+
+        # metrics.txt and reconstruction.csv are complete when the spectrum
+        # write fails halfway through its file
+        monkeypatch.setattr(harness, "_write_spectrum", fail)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(cfg)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:
