@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import folding, recovery, signal_model
+from . import folding, recovery, signal_model, tabletext
 from .exceptions import CaptureFormatError, ModsampleError
 
 _GRID_UNIFORMITY_RTOL = 1e-6
@@ -245,19 +245,17 @@ def write_capture(path, time, modulo, truth=None, metadata=None):
 
 def _write_table(path, columns: dict, metadata=None):
     """Write ``# key = value`` comments, a header of the column names, then
-    one row per sample. Integer columns are written as integers and the
-    rest with 17 significant digits, which round-trips every float64; a
-    column given as None is left empty. The text is that of np.savetxt
-    with the same row format, built from whole columns in one write."""
+    one row per sample. Integer columns are written as ``'%d'`` and the rest
+    as ``'%.17g'``, 17 significant digits, which round-trips every float64;
+    a column given as None is left empty. The bytes are those np.savetxt
+    writes with the same row format: :func:`tabletext.table_text` renders
+    the rows from whole columns, and formats with ``'%.17g'`` only the rare
+    cells its exact digit kernel cannot decide. The text is UTF-8."""
     lines = [f"# {key} = {_fmt(value)}" for key, value in (metadata or {}).items()]
     lines.append(",".join(columns))
-    arrays = [None if col is None else np.asarray(col) for col in columns.values()]
-    row = ",".join(
-        "" if a is None else "%d" if a.dtype.kind in "iu" else "%.17g" for a in arrays
-    ) + "\n"
-    cells = zip(*(a.tolist() for a in arrays if a is not None))
-    with Path(path).open("w") as fh:
-        fh.write("\n".join(lines) + "\n" + "".join([row % r for r in cells]))
+    with Path(path).open("wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
+        fh.writelines(tabletext.table_text(list(columns.values())))
 
 
 def synthesize_measurement(src: SyntheticSource):

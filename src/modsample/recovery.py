@@ -161,7 +161,7 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
     # step 4: spike support on the grid and real amplitudes; a singular
     # amplitude system raises LinAlgError, a ValueError
     try:
-        k_hat = spectral.grid_support(z, K, M)
+        k_hat = spectral.grid_support(z, K, M, scale=np.abs(bins).max())
         c_hat, residual = spectral.amplitudes_ls(bins, P, k_hat)
     except ValueError as exc:
         raise RecoveryError(str(exc), step=4) from exc

@@ -79,7 +79,7 @@ def _real_hankel(z, Q: int) -> np.ndarray:
     return Tt.T
 
 
-def grid_support(z, L: int, M: int) -> np.ndarray:
+def grid_support(z, L: int, M: int, scale: float | None = None) -> np.ndarray:
     """Grid indices of the M spikes behind the contiguous spectrum bins z.
 
     z holds consecutive bins sum_m c_m xi_m^n of an L-point DFT of a real
@@ -102,7 +102,10 @@ def grid_support(z, L: int, M: int) -> np.ndarray:
     unitary change of basis on each side turns it into a real matrix with
     the same singular values (Lee 1980; Haardt & Nossek, Unitary ESPRIT,
     1995), so the QR and SVD run in real arithmetic. Bins that are not
-    conjugate-symmetric to within 1e-9 of their largest raise ValueError.
+    conjugate-symmetric to within 1e-9 of `scale` raise ValueError. The
+    default scale is max|z|; a caller that holds the whole DFT passes its
+    largest magnitude, because when the spikes are absent or tiny, z is
+    rounding noise of the whole transform, as asymmetric as it is large.
 
     Returns the support as sorted integers in [0, L).
     """
@@ -111,7 +114,9 @@ def grid_support(z, L: int, M: int) -> np.ndarray:
         raise ValueError("M must be >= 1")
     if len(z) < 2 * M + 1:
         raise UndersampledError(f"need at least 2M+1={2 * M + 1} samples, got {len(z)}")
-    if np.abs(z - z[::-1].conj()).max() > 1e-9 * np.abs(z).max():
+    if scale is None:
+        scale = np.abs(z).max()
+    if np.abs(z - z[::-1].conj()).max() > 1e-9 * scale:
         raise ValueError("bins are not conjugate-symmetric, so not a real spike train")
     Q = min(2 * M, max(M + 1, len(z) - 2 * M))
     hQ, c = Q // 2, Q - Q // 2

@@ -237,6 +237,23 @@ class TestRecover:
         assert code == 4
         assert f"line {row + 1}: non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("K", [255, 256, 1024])
+    def test_fold_free_capture_with_m_recovers(self, tmp_path, K):
+        # with no folds the out-of-band bins are rounding noise of the whole
+        # DFT, and their asymmetry is as large as they are
+        out = tmp_path / "sim"
+        assert main(["simulate", "--tau", "1", "--K", str(K), "--P", "4", "--lambda", "100",
+                     "--amplitude", "4", "--seed", "3", "--output-dir", str(out)]) == 0
+        assert "# folds = 0\n" in (out / "capture.csv").read_text()
+        for M in (1, 2, 5, 20):
+            rec = tmp_path / f"rec{M}"
+            assert main(["recover", "--input", str(out / "capture.csv"), "--P", "4",
+                         "--M", str(M), "--output-dir", str(rec)]) == 0
+            metrics = dict(
+                line.split(" = ", 1) for line in (rec / "metrics.txt").read_text().splitlines()
+            )
+            assert float(metrics["MSE_FD"]) <= 1e-25
+
     def test_impossible_m_is_recovery_failure(self, tmp_path):
         capture = _simulate(tmp_path)
         code = main(
