@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import folding, recovery, signal_model, tabletext
+from . import folding, recovery, signal_model
 from .exceptions import CaptureFormatError, ModsampleError
 
 _GRID_UNIFORMITY_RTOL = 1e-6
@@ -251,6 +251,8 @@ def _write_table(path, columns: dict, metadata=None):
     writes with the same row format: :func:`tabletext.table_text` renders
     the rows from whole columns, and formats with ``'%.17g'`` only the rare
     cells its exact digit kernel cannot decide. The text is UTF-8."""
+    from . import tabletext  # building its tables takes about 1 ms, so runs that write none skip it
+
     lines = [f"# {key} = {_fmt(value)}" for key, value in (metadata or {}).items()]
     lines.append(",".join(columns))
     with Path(path).open("wb") as fh:

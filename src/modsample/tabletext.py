@@ -67,8 +67,9 @@ def _digit_tables():
     """The ASCII digits of "0000" .. "9999", and their counts of leading and
     of trailing zero digits; "0000" counts 4 of each."""
     digits = np.empty((10, 10, 10, 10, 4), np.uint8)
+    ascii = np.arange(48, 58, dtype=np.uint8)
     for j in range(4):
-        digits[..., j] = np.arange(48, 58, dtype=np.uint8).reshape([10 if i == j else 1 for i in range(4)])
+        digits[..., j] = ascii.reshape([10 if i == j else 1 for i in range(4)])
     digits = digits.reshape(10000, 4)
     z = (digits == 48).view(np.int8).T
     leading = z[0] * (1 + z[1] * (1 + z[2] * (1 + z[3])))

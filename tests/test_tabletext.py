@@ -3,6 +3,7 @@
 the neighbours of every power of ten, exact rounding ties, 9.99... carries,
 the values the kernel leaves to '%.17g', and tables larger than one block."""
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -72,6 +73,27 @@ def test_exact_ties():
     # random dyadic rationals, ties among them
     m = rng.integers(1, 2**53, size=50_000)
     _assert_floats(m * 2.0 ** -rng.integers(0, 64, size=len(m)).astype(float))
+
+
+def test_cells_beside_a_tie():
+    # x = m 2**e with 10**(16+j) <= x < 10**(17+j) and x mod 10**j =
+    # (5**j -+ 1) 2**(j-1): the 17-digit rounding point is 5**-j / 2 from a
+    # tie, closer than the double-double's error once j reaches about 20
+    cells = []
+    for j in range(18, 40):
+        e = math.ceil((16 + j) * math.log2(10)) - 52
+        for sign in (-1, 1):
+            r = (5**j + sign) // 2 * 2**j
+            m = r // 2**j * pow(2 ** (e - j), -1, 5**j) % 5**j
+            m += 5**j * ((2**52 - m) // 5**j + 1)
+            found = 0
+            while m < 2**53 and found < 10:
+                if 10 ** (16 + j) <= m * 2**e < 10 ** (17 + j):
+                    cells.append(float(m * 2**e))
+                    found += 1
+                m += 5**j
+    assert len(cells) > 60
+    _assert_floats(cells)
 
 
 def test_carries_into_the_next_decade():
