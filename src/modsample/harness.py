@@ -251,7 +251,9 @@ def _write_table(path, columns: dict, metadata=None):
     writes with the same row format: :func:`tabletext.table_text` renders
     the rows from whole columns, and formats with ``'%.17g'`` only the rare
     cells its exact digit kernel cannot decide. The text is UTF-8."""
-    from . import tabletext  # building its tables takes about 1 ms, so runs that write none skip it
+    # imported here: building its tables takes about 1 ms, which runs that
+    # write no table skip
+    from . import tabletext
 
     lines = [f"# {key} = {_fmt(value)}" for key, value in (metadata or {}).items()]
     lines.append(",".join(columns))

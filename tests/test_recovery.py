@@ -202,7 +202,9 @@ class TestFourierPronyRecover:
     def test_singular_amplitude_system_carries_step_4(self, monkeypatch):
         # a support with a repeated index makes the amplitude system singular;
         # numpy's LinAlgError is a ValueError, reported as a recovery failure
-        monkeypatch.setattr(spectral, "grid_support", lambda z, L, M, scale=None: np.zeros(M, np.intp))
+        monkeypatch.setattr(
+            spectral, "grid_support", lambda z, L, M, scale=None: np.zeros(M, np.intp)
+        )
         trial = fixpoint_trial(seed=17, P=5, amplitude=4.5)
         with pytest.raises(RecoveryError) as err:
             fourier_prony_recover(trial.y, trial.P, trial.M)
