@@ -482,28 +482,29 @@ def _write_spectrum(path, y, fp_report):
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values, output_dir=None) -> list[dict]:
-    """Run `cfg` once per value of the named numeric field; failures are
-    recorded in-row and the sweep continues. Rows come back sorted by the
-    axis value."""
-    rows = []
+    """Run `cfg` once per value of the named field of `_SWEEP_AXES`;
+    run failures are recorded in-row and the sweep continues. Every value
+    is cast and its config built before the first run, so a value that
+    makes no config raises ValueError with nothing written. Rows come back
+    sorted by the axis value."""
+    runs = [(value, _set_axis(cfg, axis, value)) for value in values]
     base_out = Path(output_dir) if output_dir else None
-    for value in values:
-        run_cfg = _set_axis(cfg, axis, value)
+    if base_out is not None:
+        base_out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for value, run_cfg in runs:
         if base_out is not None:
             run_cfg = replace(run_cfg, output_dir=str(base_out / f"{axis}_{value}"))
-        row = {"axis": axis, "value": float(value)}
+        row = {"axis": axis, "value": float(value), "error": ""}
         try:
             row.update(run_experiment(run_cfg))
-            row["error"] = ""
         except Exception as exc:
             row["error"] = str(exc)
         rows.append(row)
     rows.sort(key=lambda r: r["value"])
     if base_out is not None:
-        keys = sorted({k for row in rows for k in row})
-        keys = ["axis", "value", "error"] + [
-            k for k in keys if k not in ("axis", "value", "error")
-        ]
+        first = ["axis", "value", "error"]
+        keys = first + sorted({k for row in rows for k in row} - set(first))
         with (base_out / "sweep.csv").open("w") as fh:
             writer = csv.writer(fh)
             writer.writerow(keys)
@@ -512,16 +513,32 @@ def sweep(cfg: ExperimentConfig, axis: str, values, output_dir=None) -> list[dic
     return rows
 
 
-_SOURCE_FIELDS = {"P", "tau", "K", "amplitude", "seed", "threshold", "bits"}
-_INT_FIELDS = {"P", "K", "seed", "bits", "M", "P_used"}
+# The fields a sweep may vary: name -> (type, where the field lives). The
+# threshold lives on both, as --lambda sets it: the source folds at it and
+# the baseline unfolds at it.
+_SWEEP_AXES = {
+    "P": (int, "source"),
+    "tau": (float, "source"),
+    "K": (int, "source"),
+    "amplitude": (float, "source"),
+    "seed": (int, "source"),
+    "bits": (int, "source"),
+    "threshold": (float, "both"),
+    "M": (int, "config"),
+    "P_used": (int, "config"),
+    "p_inflation": (float, "config"),
+}
 
 
 def _set_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    cast = int if axis in _INT_FIELDS else float
-    if axis in _SOURCE_FIELDS:
+    if axis not in _SWEEP_AXES:
+        raise ValueError(f"{axis!r} is not a sweep axis; the axes are {', '.join(_SWEEP_AXES)}")
+    cast, where = _SWEEP_AXES[axis]
+    value = cast(value)
+    if where != "config":
         if cfg.source is None:
             raise ValueError(f"axis {axis!r} requires a synthetic source")
-        return replace(cfg, source=replace(cfg.source, **{axis: cast(value)}))
-    if not hasattr(cfg, axis):
-        raise ValueError(f"unknown config field {axis!r}")
-    return replace(cfg, **{axis: cast(value)})
+        cfg = replace(cfg, source=replace(cfg.source, **{axis: value}))
+    if where != "source":
+        cfg = replace(cfg, **{axis: value})
+    return cfg

@@ -1,6 +1,8 @@
 """CLI tests: subcommand wiring, flag handling and exit codes
 (0 success, 2 argument/config, 3 recovery failure, 4 I/O)."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -414,7 +416,7 @@ class TestSweep:
              "--output-dir", str(tmp_path / "sw")]
         )
         assert code == 2
-        assert "unknown config field 'T'" in capsys.readouterr().err
+        assert "'T' is not a sweep axis" in capsys.readouterr().err
 
     def test_zero_k_is_config_error(self, tmp_path, capsys):
         code = main(
@@ -424,6 +426,56 @@ class TestSweep:
         )
         assert code == 2
         assert "K must be positive" in capsys.readouterr().err
+
+    def test_bad_value_anywhere_runs_nothing(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        code = main(
+            ["sweep", "--tau", "1.0", "--K", "96", "--P", "4", "--lambda", "1",
+             "--axis", "K", "--values", "64,0", "--output-dir", str(out)]
+        )
+        assert code == 2
+        assert "K must be positive" in capsys.readouterr().err
+        assert not (out / "K_64").exists() and not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "axis", ["lambda_grid", "source", "output_dir", "method", "capture_path"]
+    )
+    def test_non_numeric_field_is_not_an_axis(self, tmp_path, capsys, axis):
+        code = main(
+            ["sweep", "--tau", "1.0", "--K", "96", "--P", "4", "--lambda", "1",
+             "--method", "both", "--axis", axis, "--values", "1",
+             "--output-dir", str(tmp_path / "sw")]
+        )
+        assert code == 2
+        assert f"{axis!r} is not a sweep axis" in capsys.readouterr().err
+
+    def test_all_failing_sweep_writes_its_table(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        code = main(
+            ["sweep", "--tau", "1", "--K", "96", "--P", "4", "--lambda", "1",
+             "--amplitude", "4", "--axis", "K", "--values", "10,12",
+             "--output-dir", str(out)]
+        )
+        assert code == 0
+        assert "(2 failures)" in capsys.readouterr().out
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+        assert [row["value"] for row in rows] == ["10.0", "12.0"]
+        assert all("below the recovery bound" in row["error"] for row in rows)
+
+    def test_threshold_axis_moves_both_thresholds(self, tmp_path):
+        out = tmp_path / "sw"
+        code = main(
+            ["sweep", "--tau", "1", "--K", "256", "--P", "4", "--lambda", "1",
+             "--amplitude", "4", "--method", "both", "--axis", "threshold",
+             "--values", "0.8,1.0,1.2", "--output-dir", str(out)]
+        )
+        assert code == 0
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+        assert len(rows) == 3
+        for row in rows:
+            assert row["config.threshold"] == row["config.source.threshold"] == row["value"]
+            assert row["error"] == "" and row.get("US_error", "") == ""
+            assert float(row["MSE_US"]) <= 1e-10
 
 
 class TestNonidealityFlags:
