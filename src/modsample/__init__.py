@@ -40,11 +40,6 @@ from .signal_model import (
     sample,
     synthesize_random,
 )
-from .spectral import (
-    amplitudes_ls,
-    band_partition,
-    extract_out_of_band,
-    grid_support,
-)
+from .spectral import amplitudes_ls, grid_support
 
 __version__ = "0.1.0"

@@ -72,10 +72,12 @@ class NonIdealityConfig:
             raise ValueError("delay_max_samples must be >= 0")
         if not 0.0 <= self.threshold_jitter < 1.0:
             raise ValueError("threshold_jitter must lie in [0, 1)")
-        if self.spurious_rate < 0:
-            raise ValueError("spurious_rate must be >= 0")
-        if self.spurious_amp_max < 0:
-            raise ValueError("spurious_amp_max must be >= 0")
+        if not 0 <= self.spurious_rate < np.inf:
+            raise ValueError(f"spurious_rate must be finite and >= 0, got {self.spurious_rate!r}")
+        if not 0 <= self.spurious_amp_max < np.inf:
+            raise ValueError(
+                f"spurious_amp_max must be finite and >= 0, got {self.spurious_amp_max!r}"
+            )
 
 
 def centered_modulo(x, threshold):

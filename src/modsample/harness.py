@@ -39,6 +39,10 @@ class SyntheticSource:
     def __post_init__(self):
         if self.K <= 0:
             raise ValueError(f"K must be positive, got {self.K}")
+        for name in ("tau", "threshold", "amplitude"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     @property
     def grid(self) -> signal_model.UniformGrid:
@@ -534,7 +538,10 @@ def _set_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     if axis not in _SWEEP_AXES:
         raise ValueError(f"{axis!r} is not a sweep axis; the axes are {', '.join(_SWEEP_AXES)}")
     cast, where = _SWEEP_AXES[axis]
-    value = cast(value)
+    try:
+        value = cast(value)
+    except ValueError:
+        raise ValueError(f"axis {axis!r} takes {cast.__name__} values, got {value!r}") from None
     if where != "config":
         if cfg.source is None:
             raise ValueError(f"axis {axis!r} requires a synthetic source")

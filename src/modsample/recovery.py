@@ -61,12 +61,17 @@ def sampling_bounds(tau: float, P: int, M: int, Omega: float | None = None):
 
     Returns (T_FD, T_US, K_min): the Fourier-domain rate tau/(2(P+M+1)),
     the baseline rate 1/(2*Omega*e), and the minimum sample count
-    2*(ceil(Omega*tau/2pi) + M + 1). Omega defaults to 2*pi*P/tau.
+    2*(ceil(Omega*tau/2pi) + M + 1). Omega defaults to 2*pi*P/tau; a given
+    Omega must be finite and nonnegative.
     """
-    if tau <= 0 or P < 0 or M < 0:
-        raise ValueError("tau must be positive and P, M nonnegative")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
+    if P < 0 or M < 0:
+        raise ValueError("P and M must be nonnegative")
     if Omega is None:
         Omega = 2.0 * np.pi * P / tau
+    elif not 0 <= Omega < np.inf:
+        raise ValueError(f"Omega must be finite and nonnegative, got {Omega!r}")
     T_fd = tau / (2.0 * (P + M + 1))
     T_us = 1.0 / (2.0 * Omega * _EULER) if Omega > 0 else np.inf
     K_min = 2 * (int(np.ceil(Omega * tau / (2.0 * np.pi) - 1e-12)) + M + 1)
@@ -102,7 +107,7 @@ def anti_difference(rbar) -> np.ndarray:
 def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
     """Unfold modulo samples by estimating the residue in the Fourier domain.
 
-    Pipeline: circular first difference, DFT, out-of-band extraction, the
+    Pipeline: circular first difference, its real half spectrum, the
     spike support on the sampling grid (:func:`spectral.grid_support`) with
     real least-squares amplitudes, anti-difference and recombination with
     the folded samples. Folding instants lie on the sampling grid by model,
@@ -117,9 +122,9 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
     (:func:`spectral.amplitudes_ls`); a singular system raises
     RecoveryError at step 4. ``diagnostics["fit_residual"]`` is the norm of
     the fit's misfit over the out-of-band bins n <= K/2,
-    ||DFT(spikes)[n] + bins[n]|| for P < n <= K/2, where bins is the DFT of
-    the differenced samples: the other out-of-band bins are the conjugates
-    of these.
+    ||DFT(spikes)[n] + half[n]|| for P < n <= K/2, where half is the real
+    half spectrum of the differenced samples: the other out-of-band bins
+    are the conjugates of these.
 
     Parameters
     ----------
@@ -153,16 +158,18 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
 
     # steps 1-3: the circular first difference confines the bandlimited part
     # exactly to 2P+1 DFT bins, so the out-of-band bins carry only the
-    # (negated) spike spectrum
+    # (negated) spike spectrum. The differenced samples are real, so the
+    # bins 0..K//2 hold the whole spectrum. They are the complex FFT's:
+    # np.fft.rfft's differ from them in the last bit, which would move every
+    # written estimate in its last digits
     ybar = folding.finite_difference(y.values, 1, circular=True)
-    bins = np.fft.fft(ybar)
-    z, _ = spectral.extract_out_of_band(bins, P)
+    half = np.fft.fft(ybar)[: K // 2 + 1]
 
     # step 4: spike support on the grid and real amplitudes; a singular
     # amplitude system raises LinAlgError, a ValueError
     try:
-        k_hat = spectral.grid_support(z, K, M, scale=np.abs(bins).max())
-        c_hat, residual = spectral.amplitudes_ls(bins, P, k_hat)
+        k_hat = spectral.grid_support(half, K, P, M)
+        c_hat, residual = spectral.amplitudes_ls(half, K, P, k_hat)
     except ValueError as exc:
         raise RecoveryError(str(exc), step=4) from exc
     diagnostics["fit_residual"] = residual

@@ -113,10 +113,10 @@ def synthesize_random(P: int, tau: float, amplitude: float, seed) -> TrigPolynom
     """
     if P < 0:
         raise ValueError(f"P must be nonnegative, got {P}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if amplitude <= 0:
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+    if not 0 < amplitude < np.inf:
+        raise ValueError(f"amplitude must be finite and positive, got {amplitude}")
     rng = np.random.default_rng(seed)
     coeffs = np.zeros(2 * P + 1, dtype=complex)
     coeffs[P] = rng.standard_normal()

@@ -1,13 +1,16 @@
-"""Fourier-domain spike estimation: band partitioning, the on-grid spike
-support and least-squares amplitudes.
+"""Fourier-domain spike estimation: the on-grid spike support and
+least-squares amplitudes, both read from one real half spectrum.
 
 Folding instants lie on the sampling grid by model, so the first difference
-of the residue is a train of M spikes at integer indices k_m of the L-point
-grid, and its DFT is sum_m c_m xi_m^n with xi_m = exp(-2j pi k_m / L).
-:func:`grid_support` finds the indices k_m on the grid and never roots a
-polynomial; :func:`amplitudes_ls` fits the c_m over the out-of-band bins
-as an M x M high-pass Gram solve in the time domain, with no Vandermonde
-matrix. Spikes are never held as roots or instants in seconds.
+of the residue is a train of M spikes at integer indices k_m of the K-point
+grid, and its DFT is sum_m c_m xi_m^n with xi_m = exp(-2j pi k_m / K).
+The differenced samples are real, so their bins K-n are the conjugates of
+bins n, and both estimators take only the bins 0..K//2 of the DFT of
+the differenced samples. :func:`grid_support` finds the indices k_m on the
+grid and never roots a polynomial; :func:`amplitudes_ls` fits the c_m over
+the out-of-band bins as an M x M high-pass Gram solve in the time domain,
+with no Vandermonde matrix. Spikes are never held as roots or instants in
+seconds.
 """
 
 from __future__ import annotations
@@ -15,34 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import UndersampledError
-
-
-def band_partition(L: int, P: int):
-    """Split DFT indices {0..L-1} into the 2P+1 in-band bins
-    [0,P] u [L-P, L-1] and their complement.
-
-    Returns (in_band, out_band) as sorted integer arrays.
-    """
-    if P < 0:
-        raise ValueError("P must be nonnegative")
-    if L < 2 * P + 2:
-        raise UndersampledError(
-            f"transform length L={L} leaves no out-of-band bins for P={P}"
-        )
-    in_band = np.concatenate([np.arange(0, P + 1), np.arange(L - P, L)])
-    out_band = np.arange(P + 1, L - P)
-    return in_band, out_band
-
-
-def extract_out_of_band(bins, P: int):
-    """Out-of-band bins (where only the spike train contributes) together
-    with their original DFT indices.
-
-    With y = gamma - r, these bins equal minus the spike spectrum.
-    """
-    bins = np.asarray(bins)
-    _, out_band = band_partition(len(bins), P)
-    return bins[out_band], out_band
 
 
 def _real_hankel(z, Q: int) -> np.ndarray:
@@ -79,18 +54,33 @@ def _real_hankel(z, Q: int) -> np.ndarray:
     return Tt.T
 
 
-def grid_support(z, L: int, M: int, scale: float | None = None) -> np.ndarray:
-    """Grid indices of the M spikes behind the contiguous spectrum bins z.
+def _half_spectrum(half, K: int, P: int) -> np.ndarray:
+    """`half` as a complex array, checked to be the bins 0..K//2 of a
+    K-point DFT with a nonnegative bandwidth index P."""
+    half = np.asarray(half, dtype=complex)
+    if P < 0:
+        raise ValueError("P must be nonnegative")
+    if len(half) != K // 2 + 1:
+        raise ValueError(f"a real {K}-point spectrum has {K // 2 + 1} bins, got {len(half)}")
+    return half
 
-    z holds consecutive bins sum_m c_m xi_m^n of an L-point DFT of a real
-    spike train, with xi_m = exp(-2j pi k_m / L) for integer k_m and real
-    c_m, placed symmetrically about L/2 as the out-of-band bins are: so
-    z[-1-j] = conj(z[j]). The right singular vectors of the width-Q Hankel
-    matrix of z beyond the first M span its noise subspace, which is
-    orthogonal to (1, xi, ..., xi^(Q-1)) exactly at the spike roots. One
-    length-L FFT of the noise vectors evaluates that on every grid root at
-    once, and the M grid indices with the least noise power are the
-    support: MUSIC restricted to the grid.
+
+def grid_support(half, K: int, P: int, M: int) -> np.ndarray:
+    """Grid indices of the M spikes behind the out-of-band bins of a real
+    K-point spectrum.
+
+    `half` holds the bins 0..K//2 of the DFT of a real signal whose bins
+    n = P+1..K-P-1 are sum_m c_m xi_m^n, with xi_m = exp(-2j pi k_m / K)
+    for integer k_m and real c_m: the differenced samples, whose
+    bandlimited part lies in the bins within P of 0. Bin K-n is the
+    conjugate of bin n, so the out-of-band bins z are built from `half`
+    and are conjugate-symmetric, z[-1-j] = conj(z[j]), by construction.
+    The right singular vectors of the width-Q Hankel matrix of z beyond
+    the first M span its noise subspace, which is orthogonal to
+    (1, xi, ..., xi^(Q-1)) exactly at the spike roots. One length-K FFT of
+    the noise vectors evaluates that on every grid root at once, and the M
+    grid indices with the least noise power are the support: MUSIC
+    restricted to the grid.
 
     The width is Q = min(2M, max(M+1, len(z) - 2M)). At the sampling bound
     (len(z) = 2M+1) that is M+1 taps, the annihilating filter's aperture;
@@ -101,23 +91,20 @@ def grid_support(z, L: int, M: int, scale: float | None = None) -> np.ndarray:
     The symmetry makes the Hankel matrix centro-Hermitian, and a sparse
     unitary change of basis on each side turns it into a real matrix with
     the same singular values (Lee 1980; Haardt & Nossek, Unitary ESPRIT,
-    1995), so the QR and SVD run in real arithmetic. Bins that are not
-    conjugate-symmetric to within 1e-9 of `scale` raise ValueError. The
-    default scale is max|z|; a caller that holds the whole DFT passes its
-    largest magnitude, because when the spikes are absent or tiny, z is
-    rounding noise of the whole transform, as asymmetric as it is large.
+    1995), so the QR and SVD run in real arithmetic.
 
-    Returns the support as sorted integers in [0, L).
+    Returns the support as sorted integers in [0, K).
     """
-    z = np.ascontiguousarray(z, dtype=complex)
+    half = _half_spectrum(half, K, P)
     if M < 1:
         raise ValueError("M must be >= 1")
-    if len(z) < 2 * M + 1:
-        raise UndersampledError(f"need at least 2M+1={2 * M + 1} samples, got {len(z)}")
-    if scale is None:
-        scale = np.abs(z).max()
-    if np.abs(z - z[::-1].conj()).max() > 1e-9 * scale:
-        raise ValueError("bins are not conjugate-symmetric, so not a real spike train")
+    if K - 2 * P - 1 < 2 * M + 1:
+        raise UndersampledError(
+            f"need at least 2M+1={2 * M + 1} out-of-band bins, got {max(K - 2 * P - 1, 0)}"
+        )
+    # bins P+1..K//2, then the conjugates of bins (K-1-K//2)..P+1 as bins
+    # K//2+1..K-P-1
+    z = np.concatenate((half[P + 1 :], half[P + 1 : K - K // 2][::-1].conj()))
     Q = min(2 * M, max(M + 1, len(z) - 2 * M))
     hQ, c = Q // 2, Q - Q // 2
     # T and its triangular QR factor share their right singular vectors, and
@@ -132,15 +119,16 @@ def grid_support(z, L: int, M: int, scale: float | None = None) -> np.ndarray:
         w[:, hQ] *= 2**0.5
     w[:, c:] = w[:, hQ - 1 :: -1].conj()
     # w . (xi^j)_j is the DFT of w at the root's grid index
-    noise = np.fft.fft(w, n=L, axis=1)
+    noise = np.fft.fft(w, n=K, axis=1)
     power = np.sum(np.abs(noise) ** 2, axis=0)
     return np.sort(np.argpartition(power, M - 1)[:M])
 
 
-def amplitudes_ls(bins, P: int, k) -> tuple[np.ndarray, float]:
+def amplitudes_ls(half, K: int, P: int, k) -> tuple[np.ndarray, float]:
     """Real spike amplitudes c at the grid indices k from least squares over
-    every out-of-band bin of the K-point DFT `bins` of the differenced
-    samples, where bins = -(spike spectrum) + (2P+1 in-band bins).
+    every out-of-band bin of the K-point DFT of the differenced samples,
+    given as its bins 0..K//2 `half`, where the DFT is
+    -(spike spectrum) + (2P+1 in-band bins).
 
     By Parseval, fitting c over the out-of-band bins is a least-squares fit
     of the high-pass part of the time-domain residual ybar + E c, where E
@@ -157,26 +145,22 @@ def amplitudes_ls(bins, P: int, k) -> tuple[np.ndarray, float]:
     Returns (c, residual), where residual is the norm of the fit's misfit
     over the out-of-band bins n <= K/2.
     """
-    bins = np.asarray(bins)
-    K = len(bins)
+    half = _half_spectrum(half, K, P)
     k = np.asarray(k)
     M = len(k)
     if M < 1:
         raise ValueError("need at least one spike")
-    if P < 0:
-        raise ValueError("P must be nonnegative")
-    half = K // 2 + 1
-    if half - (P + 1) < M:
-        raise UndersampledError(f"need at least M={M} equations, got {half - (P + 1)}")
-    high = bins[:half].copy()
+    if len(half) - (P + 1) < M:
+        raise UndersampledError(f"need at least M={M} equations, got {len(half) - (P + 1)}")
+    high = half.copy()
     high[: P + 1] = 0.0
     h = np.fft.irfft(high, n=K)
-    low = np.zeros(half)
+    low = np.zeros(len(half))
     low[: P + 1] = 1.0
     kernel = np.fft.irfft(low, n=K)
     gram = np.equal.outer(k, k) - kernel[np.subtract.outer(k, k) % K]
     c = np.linalg.solve(gram, -h[k])
     spikes = np.zeros(K)
     spikes[k] = c
-    residual = float(np.linalg.norm(np.fft.rfft(spikes)[P + 1 :] + bins[P + 1 : half]))
+    residual = float(np.linalg.norm(np.fft.rfft(spikes)[P + 1 :] + half[P + 1 :]))
     return c, residual

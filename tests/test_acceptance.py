@@ -308,7 +308,8 @@ def test_criterion_8_spectral_oracles():
         diff = _root_distance(prony_roots, pencil_roots)
         if diff >= 1e-8:
             agree_bad.append((M, diff))
-        k_hat = grid_support(z, L, M)
+        # z is bins P+1..L-P-1; the real half spectrum is bins 0..L//2
+        k_hat = grid_support(np.concatenate((np.zeros(P + 1), z[: L // 2 - P])), L, P, M)
         grid_roots = np.exp(-2j * np.pi * k_hat / L)
         grid_diff = max(_root_distance(grid_roots, prony_roots),
                         _root_distance(grid_roots, pencil_roots))

@@ -33,6 +33,21 @@ class TestBounds:
         T_fd = float(line.split("=")[1].split()[0])
         assert T_fd == pytest.approx(21.652e-6, rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--tau", "nan"], "tau must be finite and positive, got nan"),
+            (["--tau", "inf"], "tau must be finite and positive, got inf"),
+            (["--tau", "1", "--omega", "nan"], "Omega must be finite and nonnegative, got nan"),
+            (["--tau", "1", "--omega", "inf"], "Omega must be finite and nonnegative, got inf"),
+            # a negative bandwidth gave K_min = 8, as if the signal had none
+            (["--tau", "1", "--omega", "-5"], "Omega must be finite and nonnegative, got -5.0"),
+        ],
+    )
+    def test_bad_tau_or_omega_is_config_error(self, capsys, flags, message):
+        assert main(["bounds", *flags, "--P", "4", "--M", "3"]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_capture(self, tmp_path):
@@ -63,6 +78,25 @@ class TestSimulate:
         )
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,field",
+        [
+            (["--lambda", "1", "--amplitude", "nan"], "amplitude"),
+            (["--lambda", "1", "--amplitude", "inf"], "amplitude"),
+            (["--lambda", "nan"], "threshold"),
+            (["--lambda", "inf"], "threshold"),
+            (["--tau", "inf", "--lambda", "1"], "tau"),
+        ],
+    )
+    def test_non_finite_signal_is_config_error(self, tmp_path, capsys, flags, field):
+        # was exit 2 with an unrelated "coeffs must be Hermitian symmetric"
+        # and a numpy RuntimeWarning
+        code = main(["simulate", "--tau", "1", "--K", "96", "--P", "4", *flags,
+                     "--output-dir", str(tmp_path / "sim")])
+        assert code == 2
+        assert f"{field} must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
 
 
 class TestRecover:
@@ -449,6 +483,26 @@ class TestSweep:
         assert code == 2
         assert f"{axis!r} is not a sweep axis" in capsys.readouterr().err
 
+    def test_value_of_the_wrong_type_names_the_axis(self, tmp_path, capsys):
+        code = main(
+            ["sweep", "--tau", "1.0", "--K", "96", "--P", "4", "--lambda", "1",
+             "--axis", "K", "--values", "64,1.5", "--output-dir", str(tmp_path / "sw")]
+        )
+        assert code == 2
+        assert "axis 'K' takes int values, got '1.5'" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    def test_non_finite_value_is_config_error_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        code = main(
+            ["sweep", "--tau", "1", "--K", "96", "--P", "4", "--lambda", "1",
+             "--amplitude", "4", "--axis", "amplitude", "--values", "nan,4",
+             "--output-dir", str(out)]
+        )
+        assert code == 2
+        assert "amplitude must be finite and positive, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_all_failing_sweep_writes_its_table(self, tmp_path, capsys):
         out = tmp_path / "sw"
         code = main(
@@ -486,6 +540,23 @@ class TestNonidealityFlags:
                    "--spurious-rate", "1.0", "--spurious-amp", "1.0"],
         )
         assert path.exists()
+
+    @pytest.mark.parametrize(
+        "flags,field",
+        [
+            # was an uncaught OverflowError, exit 1
+            (["--spurious-rate", "1", "--spurious-amp", "nan"], "spurious_amp_max"),
+            (["--spurious-rate", "1", "--spurious-amp", "inf"], "spurious_amp_max"),
+            # was silently ignored: exit 0 and no spurious jumps
+            (["--spurious-rate", "nan"], "spurious_rate"),
+            (["--spurious-rate", "inf", "--spurious-amp", "1"], "spurious_rate"),
+        ],
+    )
+    def test_non_finite_perturbation_is_config_error(self, tmp_path, capsys, flags, field):
+        code = main(["simulate", "--tau", "1", "--K", "96", "--P", "4", "--lambda", "1",
+                     *flags, "--output-dir", str(tmp_path / "sim")])
+        assert code == 2
+        assert f"{field} must be finite and >= 0" in capsys.readouterr().err
 
     def test_quantized_capture(self, tmp_path):
         path = _simulate(tmp_path, extra=["--bits", "8"])

@@ -311,6 +311,11 @@ class TestPerturbFolds:
             NonIdealityConfig(delay_max_samples=-1)
         with pytest.raises(ValueError):
             NonIdealityConfig(threshold_jitter=1.0)
+        for bad in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="spurious_rate must be finite"):
+                NonIdealityConfig(spurious_rate=bad)
+            with pytest.raises(ValueError, match="spurious_amp_max must be finite"):
+                NonIdealityConfig(spurious_amp_max=bad)
 
 
 class TestFiniteDifference:

@@ -1,8 +1,9 @@
-"""The real-arithmetic grid support against the complex-arithmetic oracle
-in `_reference`: the same support on spike spectra of every Hankel shape
-parity, on the trial families of the acceptance criteria and on dense
-captures, the same singular values, and a refusal of bins that are not
-conjugate-symmetric."""
+"""The real-arithmetic grid support, read from the real half spectrum,
+against the complex-arithmetic oracle in `_reference`, read from the
+out-of-band slice of the full DFT: the same support on spike spectra of
+every Hankel shape parity, on the trial families of the acceptance
+criteria and on dense captures, the same singular values, and a refusal
+of a spectrum that is not the half of a real one."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ import pytest
 import _reference
 from _trials import ideal_trials, nonideal_trials
 from modsample import (
+    UndersampledError,
     UniformGrid,
-    extract_out_of_band,
     finite_difference,
     fold_ideal,
     grid_support,
@@ -26,27 +27,34 @@ def _width(Lz, M):
     return min(2 * M, max(M + 1, Lz - 2 * M))
 
 
+def _spectra(x, P):
+    """(bins 0..K//2, out-of-band bins P+1..K-P-1) of the DFT of the real
+    samples x: what fourier_prony_recover and the oracle each read."""
+    bins = np.fft.fft(x)
+    return bins[: len(x) // 2 + 1], bins[P + 1 : len(x) - P]
+
+
 def _spike_bins(rng, L, P, M):
-    """Out-of-band bins of M real spikes on an L-point grid, two of them
+    """The spectra of M real spikes on an L-point grid, two of them
     adjacent, and their sorted indices."""
     k0 = int(rng.integers(L - 1))
     rest = rng.choice(np.setdiff1d(np.arange(L), [k0, k0 + 1]), size=M - 2, replace=False)
     k = np.sort(np.concatenate([[k0, k0 + 1], rest]))
     spikes = np.zeros(L)
     spikes[k] = rng.uniform(0.5, 2.0, size=M) * rng.choice([-1.0, 1.0], size=M)
-    z, _ = extract_out_of_band(np.fft.fft(spikes), P)
-    return z, k
+    return _spectra(spikes, P), k
 
 
 def _bins(y, P):
-    """The out-of-band bins that fourier_prony_recover searches."""
-    z, _ = extract_out_of_band(np.fft.fft(finite_difference(y.values, 1, circular=True)), P)
-    return z
+    """The spectra of the differenced samples that fourier_prony_recover
+    searches."""
+    return _spectra(finite_difference(y.values, 1, circular=True), P)
 
 
 def _assert_oracle_support(cases):
-    for z, L, M in cases:
-        np.testing.assert_array_equal(grid_support(z, L, M), _reference.grid_support(z, L, M))
+    for (half, z), L, P, M in cases:
+        np.testing.assert_array_equal(grid_support(half, L, P, M),
+                                      _reference.grid_support(z, L, M))
 
 
 @pytest.mark.parametrize("L_even", [48, 72])
@@ -59,10 +67,10 @@ def test_same_support_as_the_oracle_for_every_shape(L_even):
     for L in (L_even, L_even + 1):
         for M in (3, 4, 7, 8, 11):
             for P in range(0, (L - 2 * M - 2) // 2 + 1):
-                z, k = _spike_bins(rng, L, P, M)
+                (half, z), k = _spike_bins(rng, L, P, M)
                 Q = _width(len(z), M)
                 parities.add(((len(z) - Q + 1) % 2, Q % 2))
-                support = grid_support(z, L, M)
+                support = grid_support(half, L, P, M)
                 np.testing.assert_array_equal(support, _reference.grid_support(z, L, M))
                 np.testing.assert_array_equal(support, k)
     assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
@@ -73,7 +81,7 @@ def test_same_support_as_the_oracle_for_every_shape(L_even):
 def test_singular_values_match_the_hankel_matrix(Lz, M):
     rng = np.random.default_rng(Lz * 100 + M)
     L = Lz + 7  # P = 3
-    z, _ = _spike_bins(rng, L, 3, M)
+    (_, z), _ = _spike_bins(rng, L, 3, M)
     z = z + 1e-3 * (rng.standard_normal(Lz) + 1j * rng.standard_normal(Lz))
     z = 0.5 * (z + z[::-1].conj())  # noisy but conjugate-symmetric: full rank
     Q = _width(Lz, M)
@@ -84,24 +92,21 @@ def test_singular_values_match_the_hankel_matrix(Lz, M):
     np.testing.assert_allclose(s_real, s_hankel, rtol=0, atol=1e-12 * s_hankel[0])
 
 
-def test_bins_that_are_not_conjugate_symmetric_are_refused():
-    # complex amplitudes: the spikes of no real signal
-    L, P, M = 64, 3, 4
-    k = np.array([5, 17, 30, 41])
-    spikes = np.zeros(L, dtype=complex)
-    spikes[k] = [1.0, 1j, -0.5 + 0.5j, 2.0]
-    z, _ = extract_out_of_band(np.fft.fft(spikes), P)
-    with pytest.raises(ValueError, match="conjugate-symmetric"):
-        grid_support(z, L, M)
-    # a slice that is not centred on L/2
-    real, _ = extract_out_of_band(np.fft.fft(spikes.real), P)
-    with pytest.raises(ValueError, match="conjugate-symmetric"):
-        grid_support(real[1:], L, M)
+def test_a_spectrum_that_is_not_a_real_half_is_refused():
+    half, _ = _spectra(np.arange(16.0), 3)
+    for bad in (np.fft.fft(np.arange(16.0)), half[:-1]):  # the full DFT; one bin short
+        with pytest.raises(ValueError, match="real 16-point spectrum has 9 bins"):
+            grid_support(bad, 16, 3, 2)
+    with pytest.raises(ValueError, match="P must be nonnegative"):
+        grid_support(half, 16, -1, 2)
+    # 16 - 2*5 - 1 = 5 out-of-band bins hold 2 spikes, not 3
+    with pytest.raises(UndersampledError, match="got 5"):
+        grid_support(half, 16, 5, 3)
 
 
 def test_criterion_1_and_2_families():
-    cases = [(_bins(tr.y, tr.P), tr.grid.K, tr.M) for tr in ideal_trials(100, seed0=0)]
-    cases += [(_bins(y2, tr.P), tr.grid.K, M2)
+    cases = [(_bins(tr.y, tr.P), tr.grid.K, tr.P, tr.M) for tr in ideal_trials(100, seed0=0)]
+    cases += [(_bins(y2, tr.P), tr.grid.K, tr.P, M2)
               for tr, _, y2, M2 in nonideal_trials(100, seed0=0)]
     _assert_oracle_support(cases)
 
@@ -112,7 +117,7 @@ def test_8_bit_families(k_factor):
     # often moves the support, and both estimators must move it alike
     trials = ideal_trials(50, seed0=5000, P_range=(2, 8), M_range=(1, 40),
                           amp_range=(5.0, 5.0), threshold=1.0, k_factor=k_factor, extra=0)
-    _assert_oracle_support([(_bins(quantize(tr.y, 8, 1.0), tr.P), tr.grid.K, tr.M)
+    _assert_oracle_support([(_bins(quantize(tr.y, 8, 1.0), tr.P), tr.grid.K, tr.P, tr.M)
                             for tr in trials])
 
 
@@ -139,7 +144,7 @@ def _dense_capture(seed, K, P, M_target):
 def test_dense_captures(K, P, M_target, seed):
     y, M, k = _dense_capture(seed, K, P, M_target)
     assert M_target - 8 <= M <= M_target
-    z = _bins(y, P)
-    support = grid_support(z, K, M)
+    half, z = _bins(y, P)
+    support = grid_support(half, K, P, M)
     np.testing.assert_array_equal(support, _reference.grid_support(z, K, M))
     np.testing.assert_array_equal(support, k)

@@ -426,6 +426,12 @@ class TestSynthesizeMeasurement:
             with pytest.raises(ValueError, match="K must be positive"):
                 self._source(K=K)
 
+    @pytest.mark.parametrize("field", ["tau", "threshold", "amplitude"])
+    def test_source_fields_must_be_finite_and_positive(self, field):
+        for bad in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+                self._source(**{field: bad})
+
     def test_ideal_decomposition(self):
         gamma, y, spec = synthesize_measurement(self._source())
         assert gamma.grid == y.grid == self._source().grid

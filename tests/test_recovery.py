@@ -22,7 +22,6 @@ from modsample import (
     apply_residue,
     calibrated_mse,
     dynamic_range,
-    extract_out_of_band,
     finite_difference,
     fold_ideal,
     fourier_prony_recover,
@@ -67,6 +66,13 @@ class TestSamplingBounds:
             sampling_bounds(0.0, 1, 1)
         with pytest.raises(ValueError):
             sampling_bounds(1.0, -1, 1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="tau must be finite and positive"):
+                sampling_bounds(bad, 1, 1)
+        for bad in (np.nan, np.inf, -5.0):
+            with pytest.raises(ValueError, match="Omega must be finite and nonnegative"):
+                sampling_bounds(1.0, 4, 3, Omega=bad)
+        assert sampling_bounds(1.0, 4, 3, Omega=0.0)[1:] == (np.inf, 8)
 
 
 class TestMse:
@@ -136,7 +142,7 @@ class TestFourierPronyRecover:
         # the reference root estimators, run on the same out-of-band bins,
         # find the roots of the grid support
         ybar = finite_difference(trial.y.values, 1, circular=True)
-        z, _ = extract_out_of_band(np.fft.fft(ybar), trial.P)
+        z = np.fft.fft(ybar)[trial.P + 1 : trial.grid.K - trial.P]
         if estimator == "prony":
             p, _ = annihilator(build_toeplitz_tall(z, trial.M))
             roots = np.roots(p)
@@ -203,7 +209,7 @@ class TestFourierPronyRecover:
         # a support with a repeated index makes the amplitude system singular;
         # numpy's LinAlgError is a ValueError, reported as a recovery failure
         monkeypatch.setattr(
-            spectral, "grid_support", lambda z, L, M, scale=None: np.zeros(M, np.intp)
+            spectral, "grid_support", lambda half, K, P, M: np.zeros(M, np.intp)
         )
         trial = fixpoint_trial(seed=17, P=5, amplitude=4.5)
         with pytest.raises(RecoveryError) as err:

@@ -69,6 +69,11 @@ class TestSynthesizeRandom:
             synthesize_random(P=1, tau=-1.0, amplitude=1.0, seed=0)
         with pytest.raises(ValueError):
             synthesize_random(P=1, tau=1.0, amplitude=0.0, seed=0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="tau must be finite and positive"):
+                synthesize_random(P=1, tau=bad, amplitude=1.0, seed=0)
+            with pytest.raises(ValueError, match="amplitude must be finite and positive"):
+                synthesize_random(P=1, tau=1.0, amplitude=bad, seed=0)
 
 
 class TestEvaluate:

@@ -1,6 +1,6 @@
-"""Unit tests for the spectral module: band partitioning, the on-grid spike
-support, Toeplitz/annihilator machinery, matrix pencil and amplitude
-fitting."""
+"""Unit tests for the spectral module: the out-of-band bins of the real
+half spectrum, the on-grid spike support, Toeplitz/annihilator machinery,
+matrix pencil and amplitude fitting."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from modsample import (
     UndersampledError,
     UniformGrid,
     amplitudes_ls,
-    band_partition,
-    extract_out_of_band,
     finite_difference,
     fourier_prony_recover,
     grid_support,
@@ -32,51 +30,36 @@ def spike_spectrum(k_indices, amplitudes, L, P):
     return (xi[None, :] ** n[:, None]) @ c, n, xi
 
 
-class TestBandPartition:
-    def test_example(self):
-        in_band, out_band = band_partition(10, 2)
-        np.testing.assert_array_equal(in_band, [0, 1, 2, 8, 9])
-        np.testing.assert_array_equal(out_band, [3, 4, 5, 6, 7])
-
-    def test_single_out_bin(self):
-        _, out_band = band_partition(8, 3)  # L = 2P+2
-        assert len(out_band) == 1
-
-    def test_reflection_closure(self):
-        L = 12
-        in_band, _ = band_partition(L, 3)
-        reflected = np.sort((L - in_band) % L)
-        np.testing.assert_array_equal(np.sort(in_band), reflected)
-
-    def test_too_small(self):
-        with pytest.raises(UndersampledError):
-            band_partition(7, 3)
-        with pytest.raises(ValueError):
-            band_partition(10, -1)
+def spike_half(k_indices, amplitudes, L):
+    """Real half spectrum of grid-aligned spikes."""
+    spikes = np.zeros(L)
+    spikes[np.asarray(k_indices)] = amplitudes
+    return np.fft.rfft(spikes)
 
 
-class TestExtractOutOfBand:
+class TestOutOfBandBins:
     def test_bandlimited_confinement(self):
         g = synthesize_random(P=3, tau=1.0, amplitude=2.0, seed=4)
         sv = sample(g, UniformGrid(T=1.0 / 32, K=32))
-        bins = np.fft.fft(finite_difference(sv.values, 1, circular=True))
-        z, _ = extract_out_of_band(bins, 3)
-        assert np.max(np.abs(z)) <= 1e-9 * np.max(np.abs(bins))
+        half = np.fft.rfft(finite_difference(sv.values, 1, circular=True))
+        assert np.max(np.abs(half[4:])) <= 1e-9 * np.max(np.abs(half))
 
     def test_single_spike_closed_form(self):
-        L, P, k0, c = 32, 2, 11, 1.7
-        spike = np.zeros(L)
-        spike[k0] = c
-        z, n = extract_out_of_band(np.fft.fft(spike), P)
+        L, k0, c = 32, 11, 1.7
+        n = np.arange(L // 2 + 1)
         np.testing.assert_allclose(
-            z, c * np.exp(-2j * np.pi * n * k0 / L), atol=1e-12
+            spike_half([k0], [c], L), c * np.exp(-2j * np.pi * n * k0 / L), atol=1e-12
         )
 
-    def test_p_zero(self):
-        bins = np.fft.fft(np.arange(5.0))
-        z, n = extract_out_of_band(bins, 0)
-        np.testing.assert_array_equal(n, [1, 2, 3, 4])
-        np.testing.assert_allclose(z, bins[1:])
+    @pytest.mark.parametrize("L", [64, 65])
+    def test_support_from_the_half_matches_the_full_slice(self, L):
+        # the half spectrum of the spikes, from the FFT or from the closed
+        # form of the out-of-band bins, gives their support at either parity
+        k, c = [5, 17, 30, 41], [1.0, -1.5, 0.3, 0.8]
+        z, _, _ = spike_spectrum(k, c, L, 2)
+        np.testing.assert_array_equal(grid_support(spike_half(k, c, L), L, 2, 4), k)
+        np.testing.assert_array_equal(grid_support(
+            np.concatenate((np.zeros(3), z[: L // 2 - 2])), L, 2, 4), k)
 
 
 class TestToeplitz:
@@ -149,20 +132,21 @@ class TestAnnihilator:
 
 class TestGridSupport:
     def test_planted_support(self):
-        z, _, _ = spike_spectrum([5, 17, 30], [1.0, -1.5, 0.3], 64, 2)
-        np.testing.assert_array_equal(grid_support(z, 64, 3), [5, 17, 30])
+        half = spike_half([5, 17, 30], [1.0, -1.5, 0.3], 64)
+        np.testing.assert_array_equal(grid_support(half, 64, 2, 3), [5, 17, 30])
 
     def test_adjacent_spikes_at_the_sampling_bound(self):
-        # L = 2(P+M+1) leaves len(z) = 2M+1 bins: the width falls to M+1 taps
+        # L = 2(P+M+1) leaves L-2P-1 = 2M+1 bins: the width falls to M+1 taps
         L, P = 12, 3
-        z, _, _ = spike_spectrum([7, 8], [0.8, -1.9], L, P)
-        assert len(z) == 5
-        np.testing.assert_array_equal(grid_support(z, L, 2), [7, 8])
+        assert L - 2 * P - 1 == 5
+        np.testing.assert_array_equal(
+            grid_support(spike_half([7, 8], [0.8, -1.9], L), L, P, 2), [7, 8])
 
     def test_too_few_bins(self):
-        z, _, _ = spike_spectrum([5, 17], [1.0, 1.0], 32, 2)
+        # P = 14 leaves 32 - 29 = 3 out-of-band bins, too few for 2 spikes
+        half = spike_half([5, 17], [1.0, 1.0], 32)
         with pytest.raises(UndersampledError):
-            grid_support(z[:4], 32, 2)
+            grid_support(half, 32, 14, 2)
 
 
 def _spike_recovery(k_indices, amplitudes, L, T):
@@ -201,9 +185,8 @@ class TestRootsAndInstants:
 
     def test_too_few_taps(self):
         # M = 0 leaves a Hankel matrix with no noise subspace to search
-        z, _, _ = spike_spectrum([3], [1.0], 8, 1)
         with pytest.raises(ValueError):
-            grid_support(z, 8, 0)
+            grid_support(spike_half([3], [1.0], 8), 8, 1, 0)
 
 
 class TestMatrixPencil:
@@ -229,28 +212,31 @@ class TestMatrixPencil:
 
 
 def differenced_bins(k, c, K, P, seed=0):
-    """K-point DFT of differenced samples whose spike part is the
-    amplitudes c at grid indices k: a random real bandlimited part on the
-    bins [0, P] and [K-P, K), minus the spike spectrum."""
+    """Real half spectrum (bins 0..K//2) of differenced samples whose spike
+    part is the amplitudes c at grid indices k: a random real bandlimited
+    part on the bins [0, P] and [K-P, K), minus the spike spectrum."""
     rng = np.random.default_rng(seed)
     spikes = np.zeros(K)
     spikes[np.asarray(k)] = c
     in_band = np.zeros(K // 2 + 1, dtype=complex)
     in_band[: P + 1] = rng.normal(size=P + 1) + 1j * rng.normal(size=P + 1)
     in_band[0] = in_band[0].real
-    return np.fft.fft(np.fft.irfft(in_band, n=K) * K - spikes)
+    return np.fft.rfft(np.fft.irfft(in_band, n=K) * K - spikes)
 
 
-def oracle_fit(bins, P, k):
+def out_of_band(bins, K, P):
+    """The out-of-band bins P+1..K-P-1 of the full K-point DFT whose real
+    half is `bins`."""
+    return np.fft.fft(np.fft.irfft(bins, n=K))[P + 1 : K - P]
+
+
+def oracle_fit(bins, K, P, k):
     """The Vandermonde fit over the out-of-band bins n <= K/2."""
-    K = len(bins)
-    z, n = extract_out_of_band(bins, P)
-    half = n <= K // 2
-    return reference_amplitudes_ls(-z[half], n[half], k, K)
+    return reference_amplitudes_ls(-bins[P + 1 :], np.arange(P + 1, K // 2 + 1), k, K)
 
 
 def planted(K, P, M, seed, adjacent=False):
-    """(bins, k, c) of M random spikes; with `adjacent`, two of them sit
+    """(half spectrum, k, c) of M random spikes; with `adjacent`, two of them sit
     on neighbouring grid indices."""
     rng = np.random.default_rng(seed)
     if adjacent:  # M-1 even indices, and the odd one after the first
@@ -265,13 +251,13 @@ def planted(K, P, M, seed, adjacent=False):
 class TestAmplitudesLs:
     def test_single_amplitude(self):
         bins = differenced_bins([21], [2.0], 100, 2)
-        c, residual = amplitudes_ls(bins, 2, [21])
+        c, residual = amplitudes_ls(bins, 100, 2, [21])
         assert c[0] == pytest.approx(2.0, abs=1e-10)
         assert residual < 1e-9
 
     def test_two_spikes(self):
         bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
-        c, _ = amplitudes_ls(bins, 2, [6, 25])
+        c, _ = amplitudes_ls(bins, 64, 2, [6, 25])
         np.testing.assert_allclose(c, [1.25, -0.75], atol=1e-9)
 
     def test_planted_amplitudes_at_large_L(self):
@@ -280,7 +266,7 @@ class TestAmplitudesLs:
         rng = np.random.default_rng(5)
         k = np.sort(rng.choice(L, size=M, replace=False))
         c_true = rng.uniform(-2.0, 2.0, size=M)
-        c, _ = amplitudes_ls(differenced_bins(k, c_true, L, P), P, k)
+        c, _ = amplitudes_ls(differenced_bins(k, c_true, L, P), L, P, k)
         assert np.max(np.abs(c - c_true)) <= 1e-14 * np.max(np.abs(c_true))
 
     @pytest.mark.parametrize("L", [64, 65])
@@ -294,10 +280,10 @@ class TestAmplitudesLs:
         k = np.sort(rng.choice(L, size=M, replace=False))
         c_true = rng.uniform(-2.0, 2.0, size=M)
         bins = differenced_bins(k, c_true, L, P)
-        z, n = extract_out_of_band(bins, P)
+        z, n = out_of_band(bins, L, P), np.arange(P + 1, L - P)
         half = n <= L // 2
         assert (2 * n[half][-1] == L) == (L % 2 == 0)
-        c, _ = amplitudes_ls(bins, P, k)
+        c, _ = amplitudes_ls(bins, L, P, k)
         c_full, _ = reference_amplitudes_ls(-z, n, k, L)
         c_half, _ = reference_amplitudes_ls(-z[half], n[half], k, L)
         assert np.max(np.abs(c_half - c)) <= 1e-12 * np.max(np.abs(c_true))
@@ -305,19 +291,18 @@ class TestAmplitudesLs:
 
     def test_noise_stability(self):
         bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
-        noise = np.fft.fft(np.random.default_rng(0).normal(size=64)) * 1e-6
-        c0, _ = amplitudes_ls(bins, 2, [6, 25])
-        c1, _ = amplitudes_ls(bins + noise, 2, [6, 25])
+        noise = np.fft.rfft(np.random.default_rng(0).normal(size=64)) * 1e-6
+        c0, _ = amplitudes_ls(bins, 64, 2, [6, 25])
+        c1, _ = amplitudes_ls(bins + noise, 64, 2, [6, 25])
         assert np.max(np.abs(c1 - c0)) < 1e-3  # O(eps) with factor < 1e3
 
     def test_overfit_spike_has_tiny_amplitude(self):
         # asking the grid support for M+1 spikes on M-spike data picks the
         # true indices plus one more, whose amplitude fits to nearly zero
         bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
-        z, _ = extract_out_of_band(bins, 2)
-        k = grid_support(z, 64, 3)
+        k = grid_support(bins, 64, 2, 3)
         assert {6, 25} < set(k.tolist())
-        c, _ = amplitudes_ls(bins, 2, k)
+        c, _ = amplitudes_ls(bins, 64, 2, k)
         spurious = c[~np.isin(k, [6, 25])]
         assert len(spurious) == 1 and abs(spurious[0]) < 1e-8
 
@@ -335,12 +320,12 @@ class TestAmplitudesLs:
     )
     def test_agrees_with_oracle_on_planted_spikes(self, K, P, M, adjacent):
         bins, k, c_true = planted(K, P, M, seed=K + M, adjacent=adjacent)
-        c, residual = amplitudes_ls(bins, P, k)
-        c_ref, residual_ref = oracle_fit(bins, P, k)
+        c, residual = amplitudes_ls(bins, K, P, k)
+        c_ref, residual_ref = oracle_fit(bins, K, P, k)
         scale = np.max(np.abs(c_true))
         assert np.max(np.abs(c - c_ref)) <= 1e-12 * scale
         assert np.max(np.abs(c - c_true)) <= 1e-12 * scale
-        z, _ = extract_out_of_band(bins, P)
+        z = out_of_band(bins, K, P)
         assert abs(residual - residual_ref) <= 1e-12 * np.linalg.norm(z)
 
     @pytest.mark.parametrize("K", [65, 257])
@@ -348,9 +333,9 @@ class TestAmplitudesLs:
         # without a Nyquist bin both fits solve the same least-squares
         # problem, so they agree to rounding also where it has no exact fit
         bins, k, _ = planted(K, 4, 12, seed=K)
-        c, residual = amplitudes_ls(bins, 4, k[:-1])
-        c_ref, residual_ref = oracle_fit(bins, 4, k[:-1])
-        z, _ = extract_out_of_band(bins, 4)
+        c, residual = amplitudes_ls(bins, K, 4, k[:-1])
+        c_ref, residual_ref = oracle_fit(bins, K, 4, k[:-1])
+        z = out_of_band(bins, K, 4)
         assert residual > 1e-3 * np.linalg.norm(z)  # a misfit far above rounding
         assert abs(residual - residual_ref) <= 1e-12 * np.linalg.norm(z)
         assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
@@ -367,11 +352,10 @@ class TestAmplitudesLs:
         src = SyntheticSource(P=P, tau=1.0, K=K, amplitude=4.0, seed=seed,
                               threshold=1.0, bits=8)
         _, y, spec = synthesize_measurement(src)
-        bins = np.fft.fft(finite_difference(y.values, 1, circular=True))
-        z, _ = extract_out_of_band(bins, P)
-        k = grid_support(z, K, realized_fold_count(spec, src.grid))
-        c, residual = amplitudes_ls(bins, P, k)
-        c_ref, residual_ref = oracle_fit(bins, P, k)
+        bins = np.fft.rfft(finite_difference(y.values, 1, circular=True))
+        k = grid_support(bins, K, P, realized_fold_count(spec, src.grid))
+        c, residual = amplitudes_ls(bins, K, P, k)
+        c_ref, residual_ref = oracle_fit(bins, K, P, k)
         if K % 2:
             assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
             assert residual == pytest.approx(residual_ref, rel=1e-12)
@@ -382,15 +366,17 @@ class TestAmplitudesLs:
     def test_validation(self):
         bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
         with pytest.raises(ValueError):
-            amplitudes_ls(bins, 2, [])
-        with pytest.raises(ValueError):
-            amplitudes_ls(bins, -1, [6])
+            amplitudes_ls(bins, 64, 2, [])
+        with pytest.raises(ValueError, match="P must be nonnegative"):
+            amplitudes_ls(bins, 64, -1, [6])
+        with pytest.raises(ValueError, match="has 33 bins, got 64"):
+            amplitudes_ls(np.fft.fft(np.fft.irfft(bins, n=64)), 64, 2, [6])  # the full DFT
         with pytest.raises(UndersampledError):
-            amplitudes_ls(bins, 31, [6, 25])  # one out-of-band bin n <= K/2
+            amplitudes_ls(bins, 64, 31, [6, 25])  # one out-of-band bin n <= K/2
 
     def test_singular_gram_raises_value_error(self):
         # a repeated index makes two equal rows; LinAlgError is a ValueError
         bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
         with pytest.raises(np.linalg.LinAlgError) as err:
-            amplitudes_ls(bins, 2, [6, 6])
+            amplitudes_ls(bins, 64, 2, [6, 6])
         assert isinstance(err.value, ValueError)
