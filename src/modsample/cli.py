@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -16,9 +17,8 @@ from .exceptions import CaptureFormatError, ModsampleError
 
 
 def _add_grid_args(p):
-    p.add_argument("--tau", type=float, help="signal period in seconds")
-    p.add_argument("--T", type=float, help="sampling step in seconds")
-    p.add_argument("--K", type=int, help="sample count over one period")
+    p.add_argument("--tau", type=float, required=True, help="signal period in seconds")
+    p.add_argument("--K", type=int, required=True, help="sample count over one period")
     p.add_argument("--P", type=int, required=True, help="bandwidth index")
 
 
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--lambda", dest="threshold", type=float, help="folding threshold")
     _add_recovery_args(p_rec)
     p_rec.add_argument("--p-inflation", type=float, default=0.2,
-                       help="fractional bandwidth-index inflation for captures")
+                       help="recover with P widened to ceil(P*(1+p))")
     p_rec.add_argument("--output-dir", required=True)
 
     p_sweep = sub.add_parser("sweep", help="sweep a config field over values")
@@ -85,29 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--tau", type=float, required=True)
     p_bounds.add_argument("--P", type=int, required=True)
     p_bounds.add_argument("--M", type=int, required=True)
-    p_bounds.add_argument("--omega", type=float, default=None,
-                          help="bandwidth in rad/s (default 2*pi*P/tau)")
     return parser
-
-
-def _resolve_grid(args) -> tuple[float, int]:
-    """(tau, K) from any two of --tau, --T, --K, with tau = K*T."""
-    tau, T, K = args.tau, args.T, args.K
-    given = sum(v is not None for v in (tau, T, K))
-    if given < 2:
-        raise ValueError("need at least two of --tau, --T, --K")
-    for flag, value in (("--tau", tau), ("--T", T), ("--K", K)):
-        if value is not None and not value > 0:
-            raise ValueError(f"{flag} must be positive, got {value!r}")
-    if tau is None:
-        tau = K * T
-    elif T is None:
-        T = tau / K
-    elif K is None:
-        K = int(round(tau / T))
-    if abs(K * T - tau) > 1e-9 * tau:
-        raise ValueError(f"inconsistent grid: K*T={K * T!r} but tau={tau!r}")
-    return tau, K
 
 
 def _parse_lambda_grid(text):
@@ -120,24 +98,20 @@ def _parse_lambda_grid(text):
 
 
 def _synthetic_source(args) -> harness.SyntheticSource:
-    tau, K = _resolve_grid(args)
-    nonideality = None
-    if args.delay_max or args.jitter or args.spurious_rate:
-        nonideality = folding.NonIdealityConfig(
+    amplitude = args.amplitude if args.amplitude is not None else 5.0 * args.threshold
+    return harness.SyntheticSource(
+        P=args.P,
+        tau=args.tau,
+        K=args.K,
+        amplitude=amplitude,
+        seed=args.seed,
+        threshold=args.threshold,
+        nonideality=folding.NonIdealityConfig(
             delay_max_samples=args.delay_max,
             threshold_jitter=args.jitter,
             spurious_rate=args.spurious_rate,
             spurious_amp_max=args.spurious_amp,
-        )
-    amplitude = args.amplitude if args.amplitude is not None else 5.0 * args.threshold
-    return harness.SyntheticSource(
-        P=args.P,
-        tau=tau,
-        K=K,
-        amplitude=amplitude,
-        seed=args.seed,
-        threshold=args.threshold,
-        nonideality=nonideality,
+        ),
         bits=args.bits,
     )
 
@@ -168,11 +142,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    if not 0 <= args.p_inflation < math.inf:
+        raise ValueError(f"--p-inflation must be finite and >= 0, got {args.p_inflation!r}")
     cfg = harness.ExperimentConfig(
         method=args.method,
         capture_path=args.input,
-        P_used=args.P,
-        p_inflation=args.p_inflation,
+        P_used=math.ceil(args.P * (1.0 + args.p_inflation)),
         M=args.M,
         threshold=args.threshold,
         lambda_grid=_parse_lambda_grid(args.lambda_grid),
@@ -191,7 +166,6 @@ def _cmd_sweep(args) -> int:
         method=args.method,
         source=_synthetic_source(args),
         M=args.M,
-        threshold=args.threshold,
         lambda_grid=_parse_lambda_grid(args.lambda_grid),
     )
     values = [v for v in args.values.split(",") if v]
@@ -203,7 +177,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    T_fd, T_us, K_min = recovery.sampling_bounds(args.tau, args.P, args.M, Omega=args.omega)
+    T_fd, T_us, K_min = recovery.sampling_bounds(args.tau, args.P, args.M)
     print(f"T_FD = {T_fd!r} s")
     print(f"T_US = {T_us!r} s")
     print(f"K_min = {K_min}")

@@ -143,7 +143,7 @@ def perturb_folds(ideal: ResidueSpec, cfg: NonIdealityConfig, seed) -> ResidueSp
     Poisson(spurious_rate) extra jumps at uniform grid indices with uniform
     amplitudes in +-spurious_amp_max are added. Jumps that land on the same
     index merge by summing their amplitudes, in draw order; a merged jump
-    of exactly zero is dropped.
+    of exactly zero is dropped. An all-zero config returns the ideal jumps.
     """
     rng = np.random.default_rng(seed)
     K = ideal.K

@@ -25,7 +25,9 @@ _GRID_UNIFORMITY_RTOL = 1e-6
 @dataclass(frozen=True)
 class SyntheticSource:
     """Synthetic signal + fold-model description. One period tau is sampled
-    at K points, which fixes the grid."""
+    at K points, which fixes the grid. The folds are ideal unless the
+    `nonideality` config perturbs them; `bits` in [1, 53] quantizes the
+    modulo samples."""
 
     P: int
     tau: float
@@ -33,12 +35,14 @@ class SyntheticSource:
     amplitude: float
     seed: int
     threshold: float
-    nonideality: Optional[folding.NonIdealityConfig] = None
-    bits: Optional[int] = None  # quantize modulo samples when set
+    nonideality: folding.NonIdealityConfig = folding.NonIdealityConfig()
+    bits: Optional[int] = None
 
     def __post_init__(self):
         if self.K <= 0:
             raise ValueError(f"K must be positive, got {self.K}")
+        if self.bits is not None and not 1 <= self.bits <= 53:
+            raise ValueError(f"bits must lie in [1, 53], got {self.bits!r}")
         for name in ("tau", "threshold", "amplitude"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
@@ -52,17 +56,17 @@ class SyntheticSource:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Description of one experiment run; the source, a synthetic one or a
-    capture file, fixes the grid. Recovery uses the bandwidth index
-    ceil(P_used * (1 + p_inflation)), with P_used defaulting to the
-    source's P, and M defaults to the source's fold count. A lambda grid
-    searches the baseline's threshold against the truth, so it needs
-    method 'usf' or 'both' and a source that knows the truth."""
+    capture file, fixes the grid. Recovery uses the bandwidth index P_used,
+    M jumps and the baseline threshold `threshold`; for a synthetic source
+    each defaults to the source's own (its P, its fold count and its
+    threshold). A lambda grid searches the baseline's threshold against the
+    truth, so it needs method 'usf' or 'both' and a source that knows the
+    truth."""
 
     method: str = "fp"  # fp | usf | both
     source: Optional[SyntheticSource] = None
     capture_path: Optional[str] = None
     P_used: Optional[int] = None
-    p_inflation: float = 0.0
     M: Optional[int] = None
     threshold: Optional[float] = None  # baseline folding threshold
     lambda_grid: Optional[tuple] = None  # (lo, hi, step)
@@ -73,8 +77,8 @@ class ExperimentConfig:
             raise ValueError("exactly one of source and capture_path is required")
         if self.method not in ("fp", "usf", "both"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not self.p_inflation >= 0:
-            raise ValueError(f"p_inflation must be nonnegative, got {self.p_inflation!r}")
+        if self.threshold is not None and not 0 < self.threshold < math.inf:
+            raise ValueError(f"threshold must be finite and positive, got {self.threshold!r}")
         if self.lambda_grid is not None:
             if self.method == "fp":
                 raise ValueError(
@@ -269,15 +273,14 @@ def _write_table(path, columns: dict, metadata=None):
 def synthesize_measurement(src: SyntheticSource):
     """Generate (gamma, y, residue_spec) on the grid of a synthetic source.
 
-    Folds ideally at the threshold, optionally perturbs the folds with the
+    Folds ideally at the threshold, perturbs the folds with the source's
     non-ideality model, and optionally quantizes the modulo samples.
     """
     g = signal_model.synthesize_random(src.P, src.tau, src.amplitude, src.seed)
     gamma = signal_model.sample(g, src.grid)
     _, residue = folding.fold_ideal(gamma, src.threshold)
     spec = folding.residue_spec_from_samples(residue, src.tau)
-    if src.nonideality is not None:
-        spec = folding.perturb_folds(spec, src.nonideality, seed=src.seed + 1)
+    spec = folding.perturb_folds(spec, src.nonideality, seed=src.seed + 1)
     y = folding.apply_residue(gamma, spec)
     if src.bits is not None:
         y = signal_model.quantize(y, src.bits, src.threshold)
@@ -331,14 +334,17 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def _measure(cfg: ExperimentConfig):
-    """(grid, y, truth, tau, P, folds) of the configured source. A capture
-    may lack the truth column and the ``folds`` header (None), and its P is
-    the configured P_used."""
+    """(grid, y, truth, tau, P, folds, threshold) of the configured source.
+    A synthetic source's P and threshold stand in for unset config ones. A
+    capture may lack the truth column and the ``folds`` header (None), and
+    its P and threshold are the configured ones."""
     if cfg.source is not None:
         src = cfg.source
         gamma, y, spec = synthesize_measurement(src)
         P = src.P if cfg.P_used is None else cfg.P_used
-        return src.grid, y, gamma.values, src.tau, P, realized_fold_count(spec, src.grid)
+        threshold = src.threshold if cfg.threshold is None else cfg.threshold
+        folds = realized_fold_count(spec, src.grid)
+        return src.grid, y, gamma.values, src.tau, P, folds, threshold
     capture = load_capture(cfg.capture_path)
     if cfg.P_used is None:
         raise ValueError("P_used is required for capture sources")
@@ -351,24 +357,24 @@ def _measure(cfg: ExperimentConfig):
         float(capture.metadata["tau"]),
         cfg.P_used,
         None if folds is None else int(folds),
+        cfg.threshold,
     )
 
 
 def _run_experiment_inner(cfg: ExperimentConfig, out_dir, written: list) -> dict:
     """The run; each output path goes on `written` before it is opened."""
-    grid, y, gamma_values, tau, P, folds = _measure(cfg)
+    grid, y, gamma_values, tau, P_used, folds, threshold = _measure(cfg)
     if cfg.lambda_grid is not None and gamma_values is None:
         raise ValueError(
             "the lambda grid scores each threshold against the truth, and the "
             "capture has no truth column"
         )
-    P_used = int(math.ceil(P * (1.0 + cfg.p_inflation)))
     M = cfg.M if cfg.M is not None else folds
     if M is None:
         raise ValueError("M is required for capture sources")
 
-    Omega = 2.0 * np.pi * P_used / tau if P_used > 0 else 0.0
-    T_fd, T_us, K_min = recovery.sampling_bounds(tau, P_used, M, Omega=Omega or None)
+    T_fd, T_us, K_min = recovery.sampling_bounds(tau, P_used, M)
+    Omega = 2.0 * np.pi * P_used / tau
 
     metrics = _flatten("config", asdict(cfg))
     dr_y = signal_model.dynamic_range(y)
@@ -390,7 +396,7 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir, written: list) -> dict
                 fp_report.gamma_hat.values, gamma_values
             )
     if cfg.method in ("usf", "both"):
-        if cfg.threshold is None:
+        if threshold is None:
             raise ValueError("baseline recovery requires a folding threshold")
         # the max-norm bound comes from the truth, or else from the Fourier
         # estimate; the folded samples cannot give it, as |y| <= threshold.
@@ -400,16 +406,16 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir, written: list) -> dict
         if gamma_values is not None:
             gamma_inf = float(np.max(np.abs(gamma_values)))
         elif fp_report is not None:
-            gamma_inf = float(np.ptp(fp_report.gamma_hat.values)) / 2 + cfg.threshold
+            gamma_inf = float(np.ptp(fp_report.gamma_hat.values)) / 2 + threshold
         else:
             raise ValueError(
                 "baseline recovery needs the max-norm bound beta of the signal, "
                 "and the capture has no truth column; use --method both to take "
                 "it from the Fourier estimate"
             )
-        beta = folding.round_beta(gamma_inf, cfg.threshold)
+        beta = folding.round_beta(gamma_inf, threshold)
         try:
-            us_report = recovery.usf_recover(y, cfg.threshold, Omega, beta)
+            us_report = recovery.usf_recover(y, threshold, Omega, beta)
             if gamma_values is not None:
                 metrics["MSE_US"] = recovery.calibrated_mse(
                     us_report.gamma_hat.values, gamma_values
@@ -518,8 +524,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values, output_dir=None) -> list[dic
 
 
 # The fields a sweep may vary: name -> (type, where the field lives). The
-# threshold lives on both, as --lambda sets it: the source folds at it and
-# the baseline unfolds at it.
+# baseline unfolds at the source's threshold unless the config sets its own.
 _SWEEP_AXES = {
     "P": (int, "source"),
     "tau": (float, "source"),
@@ -527,10 +532,9 @@ _SWEEP_AXES = {
     "amplitude": (float, "source"),
     "seed": (int, "source"),
     "bits": (int, "source"),
-    "threshold": (float, "both"),
+    "threshold": (float, "source"),
     "M": (int, "config"),
     "P_used": (int, "config"),
-    "p_inflation": (float, "config"),
 }
 
 
@@ -542,10 +546,8 @@ def _set_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
         value = cast(value)
     except ValueError:
         raise ValueError(f"axis {axis!r} takes {cast.__name__} values, got {value!r}") from None
-    if where != "config":
-        if cfg.source is None:
-            raise ValueError(f"axis {axis!r} requires a synthetic source")
-        cfg = replace(cfg, source=replace(cfg.source, **{axis: value}))
-    if where != "source":
-        cfg = replace(cfg, **{axis: value})
-    return cfg
+    if where == "config":
+        return replace(cfg, **{axis: value})
+    if cfg.source is None:
+        raise ValueError(f"axis {axis!r} requires a synthetic source")
+    return replace(cfg, source=replace(cfg.source, **{axis: value}))

@@ -56,26 +56,22 @@ class RecoveryReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def sampling_bounds(tau: float, P: int, M: int, Omega: float | None = None):
-    """Sampling-rate and sample-count bounds for recovery.
+def sampling_bounds(tau: float, P: int, M: int):
+    """Sampling-rate and sample-count bounds for recovery of a tau-periodic
+    signal with bandwidth index P, so bandwidth Omega = 2*pi*P/tau.
 
     Returns (T_FD, T_US, K_min): the Fourier-domain rate tau/(2(P+M+1)),
-    the baseline rate 1/(2*Omega*e), and the minimum sample count
-    2*(ceil(Omega*tau/2pi) + M + 1). Omega defaults to 2*pi*P/tau; a given
-    Omega must be finite and nonnegative.
+    the baseline rate 1/(2*Omega*e) (inf for P = 0), and the minimum sample
+    count 2(P+M+1).
     """
     if not 0 < tau < np.inf:
         raise ValueError(f"tau must be finite and positive, got {tau!r}")
     if P < 0 or M < 0:
         raise ValueError("P and M must be nonnegative")
-    if Omega is None:
-        Omega = 2.0 * np.pi * P / tau
-    elif not 0 <= Omega < np.inf:
-        raise ValueError(f"Omega must be finite and nonnegative, got {Omega!r}")
+    Omega = 2.0 * np.pi * P / tau
     T_fd = tau / (2.0 * (P + M + 1))
     T_us = 1.0 / (2.0 * Omega * _EULER) if Omega > 0 else np.inf
-    K_min = 2 * (int(np.ceil(Omega * tau / (2.0 * np.pi) - 1e-12)) + M + 1)
-    return T_fd, T_us, K_min
+    return T_fd, T_us, 2 * (P + M + 1)
 
 
 def mse(x, y) -> float:

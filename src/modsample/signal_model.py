@@ -193,10 +193,11 @@ def quantize(samples: SampleVector, bits: int, full_scale: float) -> SampleVecto
     """Mid-rise uniform quantizer over [-full_scale, +full_scale].
 
     2**bits levels with step q = 2*full_scale / 2**bits; out-of-range inputs
-    clip to the extreme levels.
+    clip to the extreme levels. bits lies in [1, 53]: up to 53 bits, every
+    level (idx + 1/2)*q is an exact float64 value.
     """
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
+    if not 1 <= bits <= 53:
+        raise ValueError(f"bits must lie in [1, 53], got {bits!r}")
     if full_scale <= 0:
         raise ValueError(f"full_scale must be positive, got {full_scale}")
     q = 2.0 * full_scale / (2**bits)

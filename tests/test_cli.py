@@ -38,15 +38,18 @@ class TestBounds:
         [
             (["--tau", "nan"], "tau must be finite and positive, got nan"),
             (["--tau", "inf"], "tau must be finite and positive, got inf"),
-            (["--tau", "1", "--omega", "nan"], "Omega must be finite and nonnegative, got nan"),
-            (["--tau", "1", "--omega", "inf"], "Omega must be finite and nonnegative, got inf"),
-            # a negative bandwidth gave K_min = 8, as if the signal had none
-            (["--tau", "1", "--omega", "-5"], "Omega must be finite and nonnegative, got -5.0"),
         ],
     )
-    def test_bad_tau_or_omega_is_config_error(self, capsys, flags, message):
+    def test_bad_tau_is_config_error(self, capsys, flags, message):
         assert main(["bounds", *flags, "--P", "4", "--M", "3"]) == 2
         assert message in capsys.readouterr().err
+
+    def test_bandwidth_is_the_bandwidth_index(self, capsys):
+        assert main(["bounds", "--tau", "1", "--P", "4", "--M", "3"]) == 0
+        assert "K_min = 16" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--tau", "1", "--P", "4", "--M", "3", "--omega", "100"])
+        assert exc.value.code == 2
 
 
 class TestSimulate:
@@ -56,19 +59,21 @@ class TestSimulate:
         header = [l for l in path.read_text().splitlines() if not l.startswith("#")][0]
         assert header == "time,truth,modulo"
 
-    def test_grid_underspecified(self, tmp_path):
-        code = main(
-            ["simulate", "--tau", "1.0", "--P", "3", "--lambda", "1",
-             "--output-dir", str(tmp_path)]
-        )
-        assert code == 2
+    @pytest.mark.parametrize(
+        "grid", [["--tau", "1.0"], ["--K", "8"], ["--tau", "1", "--T", "0.125"]]
+    )
+    def test_grid_underspecified(self, tmp_path, grid):
+        # the grid is --tau and --K, both required
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *grid, "--P", "3", "--lambda", "1",
+                  "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "grid,message",
         [
-            (["--tau", "1", "--K", "0"], "--K must be positive"),
-            (["--tau", "1", "--T", "0"], "--T must be positive"),
-            (["--tau", "-1", "--K", "8"], "--tau must be positive"),
+            (["--tau", "1", "--K", "0"], "K must be positive, got 0"),
+            (["--tau", "-1", "--K", "8"], "tau must be finite and positive, got -1.0"),
         ],
     )
     def test_non_positive_grid_is_config_error(self, tmp_path, capsys, grid, message):
@@ -96,6 +101,15 @@ class TestSimulate:
                      "--output-dir", str(tmp_path / "sim")])
         assert code == 2
         assert f"{field} must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("bits", ["0", "54", "2000"])
+    def test_bits_out_of_range_is_config_error(self, tmp_path, capsys, bits):
+        # 2000 was an uncaught OverflowError, exit 1
+        code = main(["simulate", "--tau", "1", "--K", "64", "--P", "3", "--lambda", "1",
+                     "--bits", bits, "--output-dir", str(tmp_path / "sim")])
+        assert code == 2
+        assert f"bits must lie in [1, 53], got {bits}" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
 
@@ -226,14 +240,36 @@ class TestRecover:
         metrics = (out / "metrics.txt").read_text()
         assert "P_used = 8" in metrics
 
-    def test_negative_p_inflation_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+    def test_bad_p_inflation_is_config_error(self, tmp_path, capsys, value):
+        # inf was an uncaught OverflowError, exit 1
         capture = _simulate(tmp_path)
         code = main(
-            ["recover", "--input", str(capture), "--P", "6", "--p-inflation", "-0.5",
+            ["recover", "--input", str(capture), "--P", "6", "--p-inflation", value,
              "--output-dir", str(tmp_path / "o")]
         )
         assert code == 2
-        assert "p_inflation must be nonnegative" in capsys.readouterr().err
+        assert f"--p-inflation must be finite and >= 0, got {float(value)!r}" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_lambda_is_config_error(self, tmp_path, capsys, value):
+        # nan was "cannot convert float NaN to integer" and -1 "beta must be
+        # >= threshold"; under the default --p-inflation the baseline's rate
+        # bound failed first and nan exited 0
+        capture = _simulate(tmp_path)
+        for inflation in (["--p-inflation", "0"], []):
+            code = main(
+                ["recover", "--input", str(capture), "--P", "6", *inflation,
+                 "--method", "both", "--lambda", value, "--output-dir", str(tmp_path / "o")]
+            )
+            assert code == 2
+            assert f"threshold must be finite and positive, got {float(value)!r}" in (
+                capsys.readouterr().err
+            )
+            assert not (tmp_path / "o").exists()
 
     def test_missing_input_is_io_error(self, tmp_path):
         code = main(
@@ -503,6 +539,16 @@ class TestSweep:
         assert "amplitude must be finite and positive, got nan" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bits_out_of_range_fails_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        code = main(
+            ["sweep", "--tau", "1", "--K", "96", "--P", "4", "--lambda", "1",
+             "--axis", "bits", "--values", "8,2000", "--output-dir", str(out)]
+        )
+        assert code == 2
+        assert "bits must lie in [1, 53], got 2000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_all_failing_sweep_writes_its_table(self, tmp_path, capsys):
         out = tmp_path / "sw"
         code = main(
@@ -517,6 +563,7 @@ class TestSweep:
         assert all("below the recovery bound" in row["error"] for row in rows)
 
     def test_threshold_axis_moves_both_thresholds(self, tmp_path):
+        # the baseline unfolds at the source's threshold
         out = tmp_path / "sw"
         code = main(
             ["sweep", "--tau", "1", "--K", "256", "--P", "4", "--lambda", "1",
@@ -527,7 +574,7 @@ class TestSweep:
         rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
         assert len(rows) == 3
         for row in rows:
-            assert row["config.threshold"] == row["config.source.threshold"] == row["value"]
+            assert row["config.source.threshold"] == row["value"]
             assert row["error"] == "" and row.get("US_error", "") == ""
             assert float(row["MSE_US"]) <= 1e-10
 
@@ -550,6 +597,8 @@ class TestNonidealityFlags:
             # was silently ignored: exit 0 and no spurious jumps
             (["--spurious-rate", "nan"], "spurious_rate"),
             (["--spurious-rate", "inf", "--spurious-amp", "1"], "spurious_rate"),
+            # with no spurious rate no fold model was built: exit 0
+            (["--spurious-amp", "nan"], "spurious_amp_max"),
         ],
     )
     def test_non_finite_perturbation_is_config_error(self, tmp_path, capsys, flags, field):

@@ -284,8 +284,10 @@ class TestPerturbFolds:
         return _spec([2, 5], [2.0, -2.0], 10, tau=10.0)
 
     def test_identity_when_disabled(self):
-        out = perturb_folds(self._spec(), NonIdealityConfig(), seed=0)
-        _assert_same_spec(out, self._spec().k, self._spec().c)
+        # a spurious amplitude without a spurious rate adds no jump
+        for cfg in (NonIdealityConfig(), NonIdealityConfig(spurious_amp_max=1.0)):
+            out = perturb_folds(self._spec(), cfg, seed=0)
+            _assert_same_spec(out, self._spec().k, self._spec().c)
 
     def test_delay_deterministic(self):
         cfg = NonIdealityConfig(delay_max_samples=2)

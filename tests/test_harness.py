@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from modsample import (
     CaptureFormatError,
     NonIdealityConfig,
+    UndersampledError,
     UniformGrid,
     finite_difference,
     fourier_prony_recover,
@@ -432,7 +433,13 @@ class TestSynthesizeMeasurement:
             with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
                 self._source(**{field: bad})
 
+    @pytest.mark.parametrize("bits", [0, 54, 2000])
+    def test_bits_must_lie_in_range(self, bits):
+        with pytest.raises(ValueError, match=rf"bits must lie in \[1, 53\], got {bits}"):
+            self._source(bits=bits)
+
     def test_ideal_decomposition(self):
+        assert self._source().nonideality == NonIdealityConfig()
         gamma, y, spec = synthesize_measurement(self._source())
         assert gamma.grid == y.grid == self._source().grid
         r = spec.values()
@@ -498,12 +505,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="lambda_grid must be finite"):
             ExperimentConfig(source=self._SRC, method="both", lambda_grid=grid)
 
-    def test_method_and_p_inflation_validated(self):
+    def test_method_validated(self):
         with pytest.raises(ValueError):
             ExperimentConfig(source=self._SRC, method="bogus")
-        for bad in (-0.5, float("nan")):
-            with pytest.raises(ValueError, match="p_inflation must be nonnegative"):
-                ExperimentConfig(source=self._SRC, p_inflation=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_threshold_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="threshold must be finite and positive"):
+            ExperimentConfig(capture_path="x.csv", method="usf", threshold=bad)
 
 
 def _synthetic_config(tmp_path=None, **kwargs):
@@ -546,7 +555,7 @@ class TestRunExperiment:
         metrics = run_experiment(_synthetic_config(tmp_path))
         config_keys = [k for k in metrics if k.startswith("config.")]
         for field in ("config.method", "config.source.P", "config.source.K",
-                      "config.source.seed", "config.p_inflation"):
+                      "config.source.seed", "config.source.nonideality.delay_max_samples"):
             assert field in config_keys, field
         # the grid is the source's: echoed once, as resolved
         assert "config.T" not in metrics and "config.K" not in metrics
@@ -671,9 +680,20 @@ class TestRunExperiment:
         assert abs(float(metrics["lambda_opt"]) - 1.0) <= 0.01 + 1e-12
         assert float(metrics["MSE_USopt"]) < 1e-10
 
+    def test_baseline_threshold_defaults_to_the_sources(self, tmp_path):
+        src = SyntheticSource(P=4, tau=1.0, K=96, amplitude=4.0, seed=3, threshold=0.8)
+        base = dict(method="usf", source=src, output_dir=str(tmp_path))
+        metrics = run_experiment(ExperimentConfig(**base))
+        assert metrics["config.threshold"] is None
+        assert float(metrics["MSE_US"]) < 1e-10
+        # a threshold of its own overrides the source's
+        other = run_experiment(ExperimentConfig(**base, threshold=1.0))
+        assert other["MSE_US"] is None and "US_error" in other
+
     def test_failure_removes_partial_outputs(self, tmp_path):
-        cfg = _synthetic_config(tmp_path, method="usf", threshold=None)
-        with pytest.raises(ValueError):
+        # 200 jumps need K >= 410; the source has K = 96
+        cfg = _synthetic_config(tmp_path, M=200)
+        with pytest.raises(UndersampledError):
             run_experiment(cfg)
         assert not (tmp_path / "metrics.txt").exists()
         assert not (tmp_path / "reconstruction.csv").exists()

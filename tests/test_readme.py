@@ -111,3 +111,11 @@ def test_baseline_rate_recipe(readme_runs):
             assert row["MSE_US"] == "" and "T*Omega*e" in row["US_error"], row
         else:
             assert row.get("US_error", "") == "" and float(row["MSE_US"]) <= 1e-20, row
+
+
+def test_default_p_inflation_recipe(readme_runs):
+    root, _ = readme_runs
+    lines = (root / "out" / "rec_default" / "metrics.txt").read_text().splitlines()
+    # the CLI widens P = 6 to ceil(6 * 1.2) = 8 and echoes the widened index
+    assert "P_used = 8" in lines and "config.P_used = 8" in lines
+    assert not any(line.startswith("config.p_inflation") for line in lines)

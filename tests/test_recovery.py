@@ -69,10 +69,8 @@ class TestSamplingBounds:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="tau must be finite and positive"):
                 sampling_bounds(bad, 1, 1)
-        for bad in (np.nan, np.inf, -5.0):
-            with pytest.raises(ValueError, match="Omega must be finite and nonnegative"):
-                sampling_bounds(1.0, 4, 3, Omega=bad)
-        assert sampling_bounds(1.0, 4, 3, Omega=0.0)[1:] == (np.inf, 8)
+        # P = 0 has no bandwidth, so no baseline rate bound
+        assert sampling_bounds(1.0, 0, 3)[1:] == (np.inf, 8)
 
 
 class TestMse:

@@ -173,8 +173,18 @@ class TestQuantize:
     def test_argument_errors(self):
         with pytest.raises(ValueError):
             quantize(_sv([0.0]), bits=0, full_scale=1.0)
+        # 2**2000 does not fit a float: was an OverflowError
+        for bits in (54, 2000):
+            with pytest.raises(ValueError, match=r"bits must lie in \[1, 53\]"):
+                quantize(_sv([0.0]), bits=bits, full_scale=1.0)
         with pytest.raises(ValueError):
             quantize(_sv([0.0]), bits=8, full_scale=0.0)
+
+    def test_widest_levels_are_exact(self):
+        # at 53 bits the level (idx + 1/2)*q of the largest idx is exact
+        q = 2.0 / 2**53
+        out = quantize(_sv([1.0, -1.0, 0.0]), bits=53, full_scale=1.0)
+        np.testing.assert_array_equal(out.values, [1.0 - q / 2, -1.0 + q / 2, q / 2])
 
 
 class TestDynamicRange:
