@@ -27,7 +27,7 @@ class SyntheticSource:
     """Synthetic signal + fold-model description. One period tau is sampled
     at K points, which fixes the grid. The folds are ideal unless the
     `nonideality` config perturbs them; `bits` in [1, 53] quantizes the
-    modulo samples."""
+    modulo samples. The seed of the signal draw is a nonnegative int."""
 
     P: int
     tau: float
@@ -41,6 +41,8 @@ class SyntheticSource:
     def __post_init__(self):
         if self.K <= 0:
             raise ValueError(f"K must be positive, got {self.K}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         if self.bits is not None and not 1 <= self.bits <= 53:
             raise ValueError(f"bits must lie in [1, 53], got {self.bits!r}")
         for name in ("tau", "threshold", "amplitude"):
@@ -59,9 +61,9 @@ class ExperimentConfig:
     capture file, fixes the grid. Recovery uses the bandwidth index P_used,
     M jumps and the baseline threshold `threshold`; for a synthetic source
     each defaults to the source's own (its P, its fold count and its
-    threshold). A lambda grid searches the baseline's threshold against the
-    truth, so it needs method 'usf' or 'both' and a source that knows the
-    truth."""
+    threshold). P_used and M, when set, are nonnegative. A lambda grid
+    searches the baseline's threshold against the truth, so it needs method
+    'usf' or 'both' and a source that knows the truth."""
 
     method: str = "fp"  # fp | usf | both
     source: Optional[SyntheticSource] = None
@@ -77,6 +79,10 @@ class ExperimentConfig:
             raise ValueError("exactly one of source and capture_path is required")
         if self.method not in ("fp", "usf", "both"):
             raise ValueError(f"unknown method {self.method!r}")
+        for name in ("P_used", "M"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value!r}")
         if self.threshold is not None and not 0 < self.threshold < math.inf:
             raise ValueError(f"threshold must be finite and positive, got {self.threshold!r}")
         if self.lambda_grid is not None:

@@ -130,3 +130,25 @@ def nonideal_trials(n: int, seed0: int = 0, **kwargs):
         if seed - seed0 > 100 * n:
             raise RuntimeError(f"could not collect {n} non-ideal trials")
     return out
+
+
+def dense_capture(g: signal_model.TrigPolynomial, K: int, M_target: int) -> Trial:
+    """Ideal folds of one period of g on a K-point grid at the smallest
+    threshold (found by bisection, to 2**-60 of the peak) whose folds make
+    at most M_target spikes after circular differencing: the dense tier,
+    where folds come as close as one sample."""
+    grid = signal_model.UniformGrid(T=g.tau / K, K=K)
+    gamma = signal_model.sample(g, grid)
+    peak = float(np.max(np.abs(gamma.values)))
+
+    def fold(threshold):
+        y, residue = folding.fold_ideal(gamma, threshold)
+        spec = folding.residue_spec_from_samples(residue, g.tau)
+        return y, spec, harness.realized_fold_count(spec, grid)
+
+    lo, hi = 1e-6 * peak, 2.0 * peak
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fold(mid)[2] > M_target else (lo, mid)
+    y, spec, M = fold(hi)
+    return Trial(g=g, grid=grid, gamma=gamma, y=y, spec=spec, M=M, P=g.P, threshold=hi)

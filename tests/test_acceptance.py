@@ -11,11 +11,12 @@ import numpy as np
 
 from _reference import annihilator, build_toeplitz_tall, matrix_pencil
 from conftest import ACCEPTANCE_LINES
-from _trials import fixpoint_trial, ideal_trials, nonideal_trials
+from _trials import add_spurious_jump, dense_capture, fixpoint_trial, ideal_trials, nonideal_trials
 
 from modsample import (
     FoldConsistencyError,
     ModsampleError,
+    TrigPolynomial,
     UniformGrid,
     calibrated_mse,
     centered_modulo,
@@ -31,7 +32,7 @@ from modsample import (
     synthesize_random,
     usf_recover,
 )
-from modsample import folding, signal_model
+from modsample import folding, harness, signal_model
 
 
 def _report(num, description, ok, detail=""):
@@ -354,4 +355,59 @@ def test_criterion_9_lower_rate_recovery():
         ok,
         f"FP MSE {err:.2e}, baseline consistency check "
         f"{'tripped' if usf_failed else 'missed'}",
+    )
+
+
+def _benchmark_dense_signal(key, P):
+    """The period the benchmark's dense-tier captures fold, built from the
+    same draws: a DC coefficient and P complex ones from
+    default_rng(key), Hermitian-extended."""
+    rng = np.random.default_rng(key)
+    pos = rng.standard_normal(P) + 1j * rng.standard_normal(P)
+    coeffs = np.concatenate((pos[::-1].conj(), [rng.standard_normal()], pos))
+    return TrigPolynomial(P=P, tau=1.0, coeffs=coeffs)
+
+
+def test_criterion_10_dense_folds():
+    """The dense tier: K in {1024, 2048, 4096, 8192}, M = K/16 and K/8,
+    4 draws each with P in [1, 15], the odd draws with folds delayed by up
+    to 2 samples, scaled by 1 +- 0.2 and one spurious jump added; then the
+    K=2048, P=10, M=256 capture of the benchmark's dense tier, whose folds
+    come as close as one sample and whose grid support is wrong. Calibrated
+    MSE <= 1e-10 * DR(gamma)^2 in every draw, in under 30 s."""
+    start = time.time()
+    cfg = folding.NonIdealityConfig(delay_max_samples=2, threshold_jitter=0.2)
+    cases = []
+    for K in (1024, 2048, 4096, 8192):
+        for M_target in (K // 16, K // 8):
+            for draw in range(4):
+                key = [K, M_target, draw]
+                rng = np.random.default_rng(key)
+                P = int(rng.integers(1, 16))
+                trial = dense_capture(synthesize_random(P, 1.0, 1.0, key), K, M_target)
+                y, M = trial.y, trial.M
+                if draw % 2:
+                    spec = folding.perturb_folds(trial.spec, cfg, seed=key + [1])
+                    spec = add_spurious_jump(spec, trial.grid, rng)
+                    y = folding.apply_residue(trial.gamma, spec)
+                    M = harness.realized_fold_count(spec, trial.grid)
+                cases.append((trial.gamma, y, P, M))
+    replay = dense_capture(_benchmark_dense_signal([20210512, 2], 10), 2048, 256)
+    spikes = finite_difference(replay.gamma.values - replay.y.values, 1, circular=True)
+    assert replay.M == 256
+    assert np.diff(np.flatnonzero(spikes)).min() == 1
+    cases.append((replay.gamma, replay.y, 10, 256))
+
+    failures = []
+    for gamma, y, P, M in cases:
+        report = fourier_prony_recover(y, P, M)
+        err = calibrated_mse(report.gamma_hat.values, gamma.values)
+        if err > 1e-10 * dynamic_range(gamma) ** 2:
+            failures.append((gamma.grid.K, P, M, err))
+    elapsed = time.time() - start
+    _report(
+        10,
+        "exact recovery of dense folds, M up to K/8",
+        not failures and elapsed < 30.0,
+        f"{len(cases)} draws, failures {failures}, {elapsed:.1f} s",
     )

@@ -112,6 +112,14 @@ class TestSimulate:
         assert f"bits must lie in [1, 53], got {bits}" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        # was numpy's "expected non-negative integer", which named no flag
+        code = main(["simulate", "--tau", "1", "--K", "64", "--P", "3", "--lambda", "1",
+                     "--seed", "-1", "--output-dir", str(tmp_path / "sim")])
+        assert code == 2
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
 
 class TestRecover:
     def test_end_to_end(self, tmp_path, capsys):
@@ -537,6 +545,17 @@ class TestSweep:
         )
         assert code == 2
         assert "amplitude must be finite and positive, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis", ["M", "P_used"])
+    def test_negative_count_fails_before_any_run(self, tmp_path, capsys, axis):
+        out = tmp_path / "sw"
+        code = main(
+            ["sweep", "--tau", "1", "--K", "64", "--P", "3", "--lambda", "1",
+             "--axis", axis, "--values", "3,-1", "--output-dir", str(out)]
+        )
+        assert code == 2
+        assert f"{axis} must be nonnegative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bits_out_of_range_fails_before_any_run(self, tmp_path, capsys):

@@ -9,22 +9,15 @@ import numpy as np
 import pytest
 
 import _reference
-from _trials import ideal_trials, nonideal_trials
+from _trials import dense_capture, ideal_trials, nonideal_trials
 from modsample import (
     UndersampledError,
-    UniformGrid,
     finite_difference,
-    fold_ideal,
     grid_support,
     quantize,
-    sample,
     synthesize_random,
 )
-from modsample.spectral import _real_hankel
-
-
-def _width(Lz, M):
-    return min(2 * M, max(M + 1, Lz - 2 * M))
+from modsample.spectral import _real_hankel, _width
 
 
 def _spectra(x, P):
@@ -121,28 +114,11 @@ def test_8_bit_families(k_factor):
                             for tr in trials])
 
 
-def _dense_capture(seed, K, P, M_target):
-    """Ideal folds of a random period at the smallest threshold that makes
-    at most M_target circular jumps; (y, M, jump indices)."""
-    gamma = sample(synthesize_random(P, 1.0, 1.0, seed), UniformGrid(T=1.0 / K, K=K))
-    peak = np.max(np.abs(gamma.values))
-
-    def jumps(lam):
-        y, residue = fold_ideal(gamma, lam)
-        steps = finite_difference(residue.values, 1, circular=True)
-        return y, np.flatnonzero(np.abs(steps) > 1e-9 * lam)
-
-    lo, hi = 1e-6 * peak, 2.0 * peak
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if len(jumps(mid)[1]) > M_target else (lo, mid)
-    y, k = jumps(hi)
-    return y, len(k), k
-
-
 @pytest.mark.parametrize("K, P, M_target, seed", [(1024, 10, 128, 0), (1024, 5, 256, 1)])
 def test_dense_captures(K, P, M_target, seed):
-    y, M, k = _dense_capture(seed, K, P, M_target)
+    trial = dense_capture(synthesize_random(P, 1.0, 1.0, seed), K, M_target)
+    y, M = trial.y, trial.M
+    k = np.flatnonzero(finite_difference(trial.gamma.values - y.values, 1, circular=True))
     assert M_target - 8 <= M <= M_target
     half, z = _bins(y, P)
     support = grid_support(half, K, P, M)

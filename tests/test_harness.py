@@ -433,6 +433,10 @@ class TestSynthesizeMeasurement:
             with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
                 self._source(**{field: bad})
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            self._source(seed=-1)
+
     @pytest.mark.parametrize("bits", [0, 54, 2000])
     def test_bits_must_lie_in_range(self, bits):
         with pytest.raises(ValueError, match=rf"bits must lie in \[1, 53\], got {bits}"):
@@ -508,6 +512,12 @@ class TestExperimentConfig:
     def test_method_validated(self):
         with pytest.raises(ValueError):
             ExperimentConfig(source=self._SRC, method="bogus")
+
+    @pytest.mark.parametrize("field", ["M", "P_used"])
+    def test_negative_counts_are_named(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be nonnegative, got -1"):
+            ExperimentConfig(source=self._SRC, **{field: -1})
+        ExperimentConfig(source=self._SRC, **{field: 0})
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
     def test_threshold_must_be_finite_and_positive(self, bad):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import annihilator, build_toeplitz_tall, matrix_pencil
-from _trials import fixpoint_trial, nonideal_trials
+from _trials import fixpoint_trial, ideal_trials, nonideal_trials
 
 from modsample import spectral
 from modsample import (
@@ -34,6 +34,7 @@ from modsample import (
     usf_recover,
 )
 from modsample.folding import ResidueSpec
+from modsample.harness import SyntheticSource, realized_fold_count, synthesize_measurement
 
 
 def _sv(values):
@@ -214,6 +215,93 @@ class TestFourierPronyRecover:
             fourier_prony_recover(trial.y, trial.P, trial.M)
         assert err.value.step == 4
         assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+
+def _raise(*args):
+    raise AssertionError("this estimator must not run here")
+
+
+def _counting(monkeypatch, name):
+    """Wrap spectral.<name> so that the returned list counts its calls."""
+    calls = []
+    inner = getattr(spectral, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(spectral, name, wrapper)
+    return calls
+
+
+class TestSupportEstimators:
+    """The in-band l1 support runs first where the grid's Hankel width Q
+    exceeds M+1, and the grid runs wherever its amplitude fit is not
+    certified; diagnostics["support_estimator"] names the one used."""
+
+    def _oversampled(self):
+        # K = 4(P+M+1) leaves 117 out-of-band bins for 26 spikes: Q > M+1
+        trial = fixpoint_trial(seed=17, P=5, amplitude=4.5, k_factor=4, extra=0)
+        assert (trial.grid.K, trial.M) == (128, 26)
+        return trial
+
+    def _assert_exact(self, report, trial):
+        err = calibrated_mse(report.gamma_hat.values, trial.gamma.values)
+        assert err <= 1e-10 * dynamic_range(trial.gamma) ** 2
+
+    def test_certified_l1_support_never_calls_the_grid(self, monkeypatch):
+        monkeypatch.setattr(spectral, "grid_support", _raise)
+        trial = self._oversampled()
+        report = fourier_prony_recover(trial.y, trial.P, trial.M)
+        assert report.diagnostics["support_estimator"] == "inband_l1"
+        assert report.diagnostics["fit_residual"] <= 1e-9 * np.linalg.norm(
+            np.fft.fft(finite_difference(trial.y.values, 1, circular=True))[trial.P + 1 :]
+        )
+        self._assert_exact(report, trial)
+
+    def test_the_grid_runs_alone_at_width_M_plus_1(self, monkeypatch):
+        # the criterion-1 rate K = 2(P+M+1)+2 leaves 2M+3 out-of-band bins
+        monkeypatch.setattr(spectral, "inband_support", _raise)
+        calls = _counting(monkeypatch, "grid_support")
+        trials = ideal_trials(20, seed0=0)
+        for trial in trials:
+            report = fourier_prony_recover(trial.y, trial.P, trial.M)
+            assert report.diagnostics["support_estimator"] == "grid"
+            self._assert_exact(report, trial)
+        assert len(calls) == len(trials)
+
+    def test_the_grid_runs_on_an_8_bit_capture(self, monkeypatch):
+        src = SyntheticSource(P=4, tau=1.0, K=512, amplitude=4.0, seed=1, threshold=1.0, bits=8)
+        _, y, spec = synthesize_measurement(src)
+        M = realized_fold_count(spec, src.grid)
+        l1_calls = _counting(monkeypatch, "inband_support")
+        grid_calls = _counting(monkeypatch, "grid_support")
+        report = fourier_prony_recover(y, 4, M)
+        # quantization noise leaves no support a fit to 1e-9
+        assert len(l1_calls) == len(grid_calls) == 1
+        assert report.diagnostics["support_estimator"] == "grid"
+
+    def test_a_wrong_l1_support_falls_back_to_the_grid(self, monkeypatch):
+        trial = self._oversampled()
+        true_support = fourier_prony_recover(trial.y, trial.P, trial.M).support
+        monkeypatch.setattr(
+            spectral, "inband_support", lambda half, K, P, M: np.sort((true_support + 1) % K)
+        )
+        report = fourier_prony_recover(trial.y, trial.P, trial.M)
+        assert report.diagnostics["support_estimator"] == "grid"
+        np.testing.assert_array_equal(report.support, true_support)
+        self._assert_exact(report, trial)
+
+    def test_a_singular_l1_amplitude_system_falls_back_to_the_grid(self, monkeypatch):
+        # a repeated index makes the amplitude system on the l1 support
+        # singular; recovery does not raise but takes the grid's support
+        monkeypatch.setattr(
+            spectral, "inband_support", lambda half, K, P, M: np.zeros(M, np.intp)
+        )
+        trial = self._oversampled()
+        report = fourier_prony_recover(trial.y, trial.P, trial.M)
+        assert report.diagnostics["support_estimator"] == "grid"
+        self._assert_exact(report, trial)
 
 
 class TestUsfRecover:

@@ -15,6 +15,7 @@ from modsample import (
     finite_difference,
     fourier_prony_recover,
     grid_support,
+    inband_support,
     sample,
     synthesize_random,
 )
@@ -147,6 +148,61 @@ class TestGridSupport:
         half = spike_half([5, 17], [1.0, 1.0], 32)
         with pytest.raises(UndersampledError):
             grid_support(half, 32, 14, 2)
+
+
+def fold_like_spikes(K, P, M, seed):
+    """(half spectrum, k) of M spikes shaped like folds, two of them
+    adjacent: each is 2 times 1 +- 0.2 with a random sign, over a random
+    bandlimited part."""
+    rng = np.random.default_rng(seed)
+    k0 = int(rng.integers(K - 1))
+    rest = rng.choice(np.setdiff1d(np.arange(K), [k0, k0 + 1]), size=M - 2, replace=False)
+    k = np.sort(np.concatenate([[k0, k0 + 1], rest]))
+    c = 2.0 * rng.uniform(0.8, 1.2, size=M) * rng.choice([-1.0, 1.0], size=M)
+    return differenced_bins(k, c, K, P, seed), k
+
+
+class TestInbandSupport:
+    @pytest.mark.parametrize(
+        "K, P, M",
+        [(64, 3, 16), (65, 2, 16), (128, 5, 32), (72, 4, 12), (256, 10, 64), (1024, 10, 256)],
+    )
+    def test_planted_fold_like_spikes(self, K, P, M):
+        # M = K/4 at small K, two spikes adjacent, 20 draws per shape
+        for seed in range(20):
+            bins, k = fold_like_spikes(K, P, M, seed)
+            np.testing.assert_array_equal(inband_support(bins, K, P, M), k)
+
+    def test_planted_support_over_a_large_grid(self):
+        bins, k, _ = planted(8192, 20, 16, seed=3, adjacent=True)
+        np.testing.assert_array_equal(inband_support(bins, 8192, 20, 16), k)
+
+    def test_a_wrong_l1_support_fails_the_fit(self):
+        # spikes of small amplitude defeat the l1 fit here; the amplitude
+        # fit on its support then misses the bins by far more than rounding
+        bins, k, _ = planted(64, 3, 16, seed=9)
+        support = inband_support(bins, 64, 3, 16)
+        assert not np.array_equal(support, k)
+        _, residual = amplitudes_ls(bins, 64, 3, support)
+        assert residual > 1e-3 * np.linalg.norm(bins[4:])
+
+    def test_no_out_of_band_energy_gives_zero_spikes(self):
+        # with h = 0 every support fits with zero amplitudes
+        bins = np.zeros(33, dtype=complex)
+        bins[:3] = [1.0, 2.0 - 1.0j, 0.5j]
+        support = inband_support(bins, 64, 2, 4)
+        assert len(support) == 4
+        c, residual = amplitudes_ls(bins, 64, 2, support)
+        assert residual == 0.0 and not c.any()
+
+    def test_validation(self):
+        bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            inband_support(bins, 64, 2, 0)
+        with pytest.raises(ValueError, match="has 33 bins, got 32"):
+            inband_support(bins[:-1], 64, 2, 2)
+        with pytest.raises(UndersampledError, match="got 3"):
+            inband_support(bins, 64, 30, 2)
 
 
 def _spike_recovery(k_indices, amplitudes, L, T):
