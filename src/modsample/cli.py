@@ -142,6 +142,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    if args.P < 0:
+        raise ValueError(f"--P must be >= 0, got {args.P}")
     if not 0 <= args.p_inflation < math.inf:
         raise ValueError(f"--p-inflation must be finite and >= 0, got {args.p_inflation!r}")
     cfg = harness.ExperimentConfig(

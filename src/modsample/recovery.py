@@ -236,14 +236,11 @@ def _certified_inband_fit(half, K: int, P: int, M: int):
     return None
 
 
-def _baseline_order(y: SampleVector, threshold, beta, Omega: float, N: int | None) -> int:
-    """The baseline's difference order at one threshold: N when forced, else
-    the selection rule. Raises as the unfolding would on an order it cannot
-    run: below 1, or with no order-N difference of the samples."""
-    if N is None:
-        N = folding.choose_order(threshold, beta, y.grid.T, Omega)
-    if N < 1:
-        raise ValueError("difference order must be >= 1")
+def _baseline_order(y: SampleVector, threshold, beta, Omega: float) -> int:
+    """The baseline's difference order N at one threshold, by the selection
+    rule. Raises as the unfolding would when the samples have no order-N
+    difference."""
+    N = folding.choose_order(threshold, beta, y.grid.T, Omega)
     if N >= y.grid.K:
         folding.finite_difference(y.values, N)  # raises its too-few-samples error
     return N
@@ -305,13 +302,13 @@ def usf_recover(
     threshold: float,
     Omega: float,
     beta: float,
-    N: int | None = None,
     strict: bool = True,
 ) -> RecoveryReport:
     """Baseline unfolding through higher-order finite differences.
 
     Estimates the order-N difference of the residue from the modulo identity,
-    then anti-differences N times and returns the zero-mean estimate. At each
+    with N from the selection rule (`folding.choose_order`), then
+    anti-differences N times and returns the zero-mean estimate. At each
     integration stage the unknown constant (a multiple of 2*threshold) is
     fixed by minimizing the max norm of the partially reconstructed
     differences, which the bandlimited shrinkage bound (T*Omega*e)^n * beta
@@ -324,7 +321,7 @@ def usf_recover(
     N-1 down: the data is inconsistent with ideal 2*threshold folds.
     """
     rho = y.grid.T * Omega * _EULER
-    N = _baseline_order(y, threshold, beta, Omega, N)
+    N = _baseline_order(y, threshold, beta, Omega)
     diagnostics: dict = {"N": N, "threshold": threshold, "T_Omega_e": rho}
 
     residue, raw_gamma, snap, norms = _unfold(
@@ -353,7 +350,7 @@ def usf_recover(
     )
 
 
-def _grid_mse(y: SampleVector, gamma_ref: SampleVector, Omega: float, grid, N):
+def _grid_mse(y: SampleVector, gamma_ref: SampleVector, Omega: float, grid):
     """The baseline at every threshold of `grid`, scored against gamma_ref.
 
     Returns (mse, betas, failed): the calibrated MSE and the max-norm bound
@@ -368,7 +365,7 @@ def _grid_mse(y: SampleVector, gamma_ref: SampleVector, Omega: float, grid, N):
     for i, lam in enumerate(grid):
         try:
             betas[i] = folding.round_beta(gamma_inf, lam)
-            rows_of_order.setdefault(_baseline_order(y, lam, betas[i], Omega, N), []).append(i)
+            rows_of_order.setdefault(_baseline_order(y, lam, betas[i], Omega), []).append(i)
         except Exception as exc:  # record and keep scanning
             failed[i] = str(exc)
 
@@ -398,18 +395,17 @@ def optimize_lambda(
     lo: float,
     hi: float,
     step: float,
-    N: int | None = None,
 ):
     """Grid search for the folding threshold minimizing the calibrated MSE of
     the baseline reconstruction against a reference; ties break toward the
     smallest threshold. Returns the threshold and its zero-mean report.
 
     The grid is lo, lo+step, ... up to hi. A threshold whose difference
-    order fails (by the selection rule, or the forced N) is skipped, and
-    RecoveryError names the first failure when all fail. The others run
-    through the kernel behind :func:`usf_recover` in batches of thresholds
-    that share an order, so each scores bitwise as its own
-    :func:`usf_recover` run would; the report is that run at the optimum.
+    order fails is skipped, and RecoveryError names the first failure when
+    all fail. The others run through the kernel behind :func:`usf_recover`
+    in batches of thresholds that share an order, so each scores bitwise
+    as its own :func:`usf_recover` run would; the report is that run at the
+    optimum.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
         raise ValueError(f"need finite lo, hi and step, got {lo!r}, {hi!r}, {step!r}")
@@ -418,7 +414,7 @@ def optimize_lambda(
     if gamma_ref.grid != y.grid:
         raise ValueError("gamma_ref must share the grid of y")
     grid = np.arange(lo, hi + 0.5 * step, step)
-    mse_of, betas, failed = _grid_mse(y, gamma_ref, Omega, grid, N)
+    mse_of, betas, failed = _grid_mse(y, gamma_ref, Omega, grid)
     best = None
     for i, err in enumerate(mse_of):
         if i not in failed and (best is None or err < mse_of[best] - 1e-15):
@@ -427,7 +423,7 @@ def optimize_lambda(
         first = [(float(grid[i]), text) for i, text in failed.items()][:1]
         raise RecoveryError(f"every threshold in [{lo}, {hi}] failed; first error: {first}")
     lam_opt = float(grid[best])
-    report = usf_recover(y, grid[best], Omega, betas[best], N=N, strict=False)
+    report = usf_recover(y, grid[best], Omega, betas[best], strict=False)
     report.diagnostics["lambda_opt"] = lam_opt
     report.diagnostics["lambda_opt_mse"] = float(mse_of[best])
     return lam_opt, replace(report, method="usf_opt")

@@ -9,12 +9,12 @@ bins n, and every estimator takes only the bins 0..K//2 of the DFT of
 the differenced samples. Both supports find the indices k_m on the grid
 and never root a polynomial: :func:`inband_support` as the least l1 norm
 of the high-pass samples plus a low-pass part, a few FFTs per step, and
-:func:`grid_support` from the noise subspace of a Hankel matrix of the
-out-of-band bins, a QR and an SVD. :func:`amplitudes_ls` fits the c_m
-over the out-of-band bins as an M x M high-pass Gram solve in the time
-domain, with no Vandermonde matrix, and its residual certifies a support:
-with at least 2M+1 out-of-band bins only the true support fits them
-exactly. Spikes are never held as roots or instants in seconds.
+:func:`grid_support` from the noise subspace of a complex Hankel matrix
+of the out-of-band bins, one QR and one SVD. :func:`amplitudes_ls` fits
+the c_m over the out-of-band bins as an M x M high-pass Gram solve in the
+time domain, with no Vandermonde matrix, and its residual certifies a
+support: with at least 2M+1 out-of-band bins only the true support fits
+them exactly. Spikes are never held as roots or instants in seconds.
 """
 
 from __future__ import annotations
@@ -29,40 +29,6 @@ from .exceptions import UndersampledError
 # captures, and 2-10 on certified draws at M = K/4. The most seen was 17,
 # on a draw at M = K/4 whose l1 support was wrong
 _IRLS_STEPS = 20
-
-
-def _real_hankel(z, Q: int) -> np.ndarray:
-    """The real (len(z)-Q+1) x Q matrix T, in Fortran order, with the
-    singular values of the width-Q Hankel matrix H[r, j] = z[r + j] of the
-    conjugate-symmetric bins z (a contiguous complex array).
-
-    H[R-1-r, Q-1-j] = conj(H[r, j]), so H is centro-Hermitian. Let U be the
-    unitary whose column j is (e_j + e_{Q-1-j})/sqrt2 and column c+j is
-    1j (e_j - e_{Q-1-j})/sqrt2 for j < Q//2, where c = Q - Q//2, with
-    column Q//2 = e_{Q//2} at odd Q. Row R-1-r of H U is then the conjugate
-    of row r, and the middle row at odd R is real, so sqrt2 times the real
-    parts of the top rows, the middle row and sqrt2 times their imaginary
-    parts stack into T, an orthogonal transform of H U. T's right singular
-    vectors map to H's through U.
-    """
-    R = len(z) - Q + 1
-    hQ, hR = Q // 2, R // 2
-    c = Q - hQ
-    # only the top R-hR rows of H are read, viewed transposed; T is built
-    # transposed too, so that it is in the Fortran order LAPACK reads
-    Ht = np.ndarray((Q, R - hR), complex, z, 0, 2 * z.strides)
-    S = Ht[:c] + Ht[::-1][:c]  # row hQ at odd Q is 2 H[:, hQ]
-    D = Ht[:hQ] - Ht[::-1][:hQ]
-    Tt = np.empty((Q, R))
-    Tt[:c, : R - hR] = S.real
-    Tt[c:, : R - hR] = -D.imag
-    Tt[:c, R - hR :] = S.imag[:, :hR]
-    Tt[c:, R - hR :] = D.real[:, :hR]
-    if R % 2:
-        Tt[:, hR] /= 2**0.5
-    if Q % 2:
-        Tt[hQ] /= 2**0.5
-    return Tt.T
 
 
 def _half_spectrum(half, K: int, P: int) -> np.ndarray:
@@ -124,11 +90,6 @@ def grid_support(half, K: int, P: int, M: int) -> np.ndarray:
     that M+1 taps cannot. The Hankel matrix never has fewer rows than
     columns.
 
-    The symmetry makes the Hankel matrix centro-Hermitian, and a sparse
-    unitary change of basis on each side turns it into a real matrix with
-    the same singular values (Lee 1980; Haardt & Nossek, Unitary ESPRIT,
-    1995), so the QR and SVD run in real arithmetic.
-
     Returns the support as sorted integers in [0, K).
     """
     half = _half_spectrum(half, K, P)
@@ -137,20 +98,13 @@ def grid_support(half, K: int, P: int, M: int) -> np.ndarray:
     # K//2+1..K-P-1
     z = np.concatenate((half[P + 1 :], half[P + 1 : K - K // 2][::-1].conj()))
     Q = _width(len(z), M)
-    hQ, c = Q // 2, Q - Q // 2
-    # T and its triangular QR factor share their right singular vectors, and
-    # the Q x Q factor is the cheaper one to decompose
-    _, _, vh = np.linalg.svd(np.linalg.qr(_real_hankel(z, Q), mode="r"))
-    # H's noise vectors are U times T's (see _real_hankel); w holds sqrt2 U v
-    v = vh[M:]
-    w = np.empty((Q - M, Q), dtype=complex)
-    w[:, :c] = v[:, :c]
-    w.imag[:, :hQ] = v[:, c:]
-    if Q % 2:
-        w[:, hQ] *= 2**0.5
-    w[:, c:] = w[:, hQ - 1 :: -1].conj()
-    # w . (xi^j)_j is the DFT of w at the root's grid index
-    noise = np.fft.fft(w, n=K, axis=1)
+    # H[r, j] = z[r + j], viewed in place (sliding_window_view costs about
+    # 15 us a call); H and its triangular QR factor share their right
+    # singular vectors, and the Q x Q factor is the cheaper one to decompose
+    H = np.ndarray((len(z) - Q + 1, Q), complex, z, 0, 2 * z.strides)
+    _, _, vh = np.linalg.svd(np.linalg.qr(H, mode="r"))
+    # conj(v) . (xi^j)_j is the DFT of conj(v) at the root's grid index
+    noise = np.fft.fft(np.conj(vh[M:]), n=K, axis=1)
     power = np.sum(np.abs(noise) ** 2, axis=0)
     return np.sort(np.argpartition(power, M - 1)[:M])
 

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+import _reference
 from _reference import annihilator, build_toeplitz_tall, matrix_pencil
 from conftest import ACCEPTANCE_LINES
 from _trials import add_spurious_jump, dense_capture, fixpoint_trial, ideal_trials, nonideal_trials
@@ -16,6 +17,7 @@ from _trials import add_spurious_jump, dense_capture, fixpoint_trial, ideal_tria
 from modsample import (
     FoldConsistencyError,
     ModsampleError,
+    OversamplingInsufficientError,
     TrigPolynomial,
     UniformGrid,
     calibrated_mse,
@@ -327,10 +329,11 @@ def test_criterion_8_spectral_oracles():
 
 
 def test_criterion_9_lower_rate_recovery():
-    """A case where the first difference already exceeds the threshold (so
-    the order-1 baseline is infeasible) yet K satisfies the Fourier bound:
-    Fourier recovery is exact while the forced-order baseline trips its
-    fold-consistency check."""
+    """A case where T*Omega*e >= 1, so the baseline's order rule has no
+    solution, and the first difference already exceeds the threshold, so an
+    order-1 unfolding (the oracle's, with the order forced) trips its
+    fold-consistency check, yet K satisfies the Fourier bound: Fourier
+    recovery is exact while the baseline fails loudly."""
     trial = fixpoint_trial(seed=0, P=4, amplitude=4.0, threshold=1.0, M_guess=12)
     assert trial is not None
     d1 = np.max(np.abs(finite_difference(trial.gamma.values, 1)))
@@ -343,18 +346,23 @@ def test_criterion_9_lower_rate_recovery():
     fp_ok = err <= 1e-10 * dynamic_range(trial.gamma) ** 2
 
     beta = round_beta(float(np.max(np.abs(trial.gamma.values))), trial.threshold)
-    usf_failed = False
+    no_order = order_1_tripped = False
     try:
-        usf_recover(trial.y, trial.threshold, trial.Omega, beta, N=1)
+        usf_recover(trial.y, trial.threshold, trial.Omega, beta)
+    except OversamplingInsufficientError:
+        no_order = True
+    try:
+        _reference.usf_recover(trial.y, trial.threshold, trial.Omega, beta, N=1)
     except FoldConsistencyError:
-        usf_failed = True
-    ok = fp_ok and usf_failed
+        order_1_tripped = True
+    ok = fp_ok and no_order and order_1_tripped
     _report(
         9,
         "recovery below the baseline's feasible rate",
         ok,
-        f"FP MSE {err:.2e}, baseline consistency check "
-        f"{'tripped' if usf_failed else 'missed'}",
+        f"FP MSE {err:.2e}, baseline order rule "
+        f"{'unsolvable' if no_order else 'solved'}, order-1 consistency check "
+        f"{'tripped' if order_1_tripped else 'missed'}",
     )
 
 

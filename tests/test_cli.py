@@ -262,6 +262,19 @@ class TestRecover:
         )
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["-1", "-5"])
+    def test_negative_p_is_config_error(self, tmp_path, capsys, value):
+        # was "P_used must be nonnegative" of the inflated value, -6 for -5
+        capture = _simulate(tmp_path)
+        for inflation in (["--p-inflation", "0"], []):
+            code = main(
+                ["recover", "--input", str(capture), "--P", value, *inflation,
+                 "--output-dir", str(tmp_path / "o")]
+            )
+            assert code == 2
+            assert f"--P must be >= 0, got {value}" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_bad_lambda_is_config_error(self, tmp_path, capsys, value):
         # nan was "cannot convert float NaN to integer" and -1 "beta must be

@@ -40,23 +40,23 @@ def _measurement(K, kind, seed=7, amplitude=4.0):
     return gamma, y, 2.0 * np.pi * P
 
 
-def _oracle_scores(y, gamma, Omega, grid, N=None):
+def _oracle_scores(y, gamma, Omega, grid):
     """Per-threshold calibrated MSE of the oracle, NaN where it fails."""
     gamma_inf = float(np.max(np.abs(gamma.values)))
     out = np.full(len(grid), np.nan)
     for i, lam in enumerate(grid):
         try:
             beta = round_beta(gamma_inf, lam)
-            report = _reference.usf_recover(y, lam, Omega, beta, N=N, strict=False)
+            report = _reference.usf_recover(y, lam, Omega, beta, strict=False)
         except Exception:
             continue
         out[i] = calibrated_mse(report.gamma_hat.values, gamma.values)
     return out
 
 
-def _assert_same_search(y, gamma, Omega, lo, hi, step, N=None):
-    lam, report = optimize_lambda(y, gamma, Omega, lo, hi, step, N=N)
-    lam_ref, report_ref = _reference.optimize_lambda(y, gamma, Omega, lo, hi, step, N=N)
+def _assert_same_search(y, gamma, Omega, lo, hi, step):
+    lam, report = optimize_lambda(y, gamma, Omega, lo, hi, step)
+    lam_ref, report_ref = _reference.optimize_lambda(y, gamma, Omega, lo, hi, step)
     assert lam == lam_ref
     assert report.method == report_ref.method == "usf_opt"
     np.testing.assert_array_equal(report.gamma_hat.values, report_ref.gamma_hat.values)
@@ -69,7 +69,7 @@ def _assert_same_search(y, gamma, Omega, lo, hi, step, N=None):
 def test_every_threshold_scores_bitwise_as_the_oracle(K, kind):
     gamma, y, Omega = _measurement(K, kind)
     grid = np.arange(0.55, 1.45 + 0.005, 0.01)
-    mse_of, betas, failed = recovery._grid_mse(y, gamma, Omega, grid, None)
+    mse_of, betas, failed = recovery._grid_mse(y, gamma, Omega, grid)
     assert failed == {}
     np.testing.assert_array_equal(mse_of, _oracle_scores(y, gamma, Omega, grid))
     gamma_inf = float(np.max(np.abs(gamma.values)))
@@ -85,19 +85,10 @@ def test_grid_larger_than_a_block_spanning_two_orders():
     gamma_inf = float(np.max(np.abs(gamma.values)))
     orders = {choose_order(lam, round_beta(gamma_inf, lam), T, Omega) for lam in grid}
     assert len(orders) >= 2
-    mse_of, _, failed = recovery._grid_mse(y, gamma, Omega, grid, None)
+    mse_of, _, failed = recovery._grid_mse(y, gamma, Omega, grid)
     assert failed == {}
     np.testing.assert_array_equal(mse_of, _oracle_scores(y, gamma, Omega, grid))
     _assert_same_search(y, gamma, Omega, 0.3, 2.0, 0.01)
-
-
-@pytest.mark.parametrize("N", [1, 2, 3])
-def test_forced_order(N):
-    gamma, y, Omega = _measurement(256, "8-bit")
-    grid = np.arange(0.55, 1.45 + 0.005, 0.01)
-    mse_of, _, _ = recovery._grid_mse(y, gamma, Omega, grid, N)
-    np.testing.assert_array_equal(mse_of, _oracle_scores(y, gamma, Omega, grid, N=N))
-    _assert_same_search(y, gamma, Omega, 0.55, 1.45, 0.01, N=N)
 
 
 def _near_critical(K=64, rho=0.97):
@@ -110,7 +101,7 @@ def _near_critical(K=64, rho=0.97):
 def test_thresholds_whose_order_fails_are_skipped_as_by_the_oracle():
     gamma, y, Omega = _near_critical()
     grid = np.arange(0.2, 1.2 + 0.025, 0.05)
-    mse_of, _, failed = recovery._grid_mse(y, gamma, Omega, grid, None)
+    mse_of, _, failed = recovery._grid_mse(y, gamma, Omega, grid)
     assert 0 < len(failed) < len(grid)
     assert all("need more than N=" in text for text in failed.values())
     oracle = _oracle_scores(y, gamma, Omega, grid)
@@ -120,19 +111,21 @@ def test_thresholds_whose_order_fails_are_skipped_as_by_the_oracle():
 
 
 @pytest.mark.parametrize(
-    "case,N",
-    [("order N >= K", 64), ("order 0", 0), ("T*Omega*e >= 1", None)],
+    "case,lo,hi,step,first_error",
+    [("order N >= K", 0.2, 0.3, 0.05, "need more than N=92 samples, got 64"),
+     ("T*Omega*e >= 1", 0.5, 1.5, 0.1, "baseline order rule has no solution")],
 )
-def test_every_threshold_failing_raises_the_oracle_error(case, N):
+def test_every_threshold_failing_raises_the_oracle_error(case, lo, hi, step, first_error):
     gamma, y, Omega = _near_critical()
     if case == "T*Omega*e >= 1":
         Omega = 1.5 / (y.grid.T * np.e)
     with pytest.raises(RecoveryError) as ours:
-        optimize_lambda(y, gamma, Omega, 0.5, 1.5, 0.1, N=N)
+        optimize_lambda(y, gamma, Omega, lo, hi, step)
     with pytest.raises(RecoveryError) as oracle:
-        _reference.optimize_lambda(y, gamma, Omega, 0.5, 1.5, 0.1, N=N)
+        _reference.optimize_lambda(y, gamma, Omega, lo, hi, step)
     assert str(ours.value) == str(oracle.value)
-    assert "every threshold in [0.5, 1.5] failed" in str(ours.value)
+    assert f"every threshold in [{lo}, {hi}] failed" in str(ours.value)
+    assert first_error in str(ours.value)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -144,32 +137,33 @@ def test_non_finite_bounds_are_rejected(bad):
 
 
 def _strict_cases():
-    """(y, threshold, Omega, beta, N): ideal folds, jittered folds that trip
-    the strict check at some stage, and forced orders."""
+    """(y, threshold, Omega, beta): ideal folds, and jittered folds that
+    trip the strict check at some stage, at amplitudes whose rule orders
+    run from 1 to 4."""
     cases = []
     for K, kind, seed in ((256, "noiseless", 3), (2048, "8-bit", 4), (256, "non-ideal", 5),
                           (2048, "non-ideal", 6), (64, "non-ideal", 8)):
-        gamma, y, Omega = _measurement(K, kind, seed=seed)
-        for lam in (0.7, 1.0, 1.3):
-            beta = round_beta(float(np.max(np.abs(gamma.values))), lam)
-            for N in (None, 1, 2, 4):
-                cases.append((y, lam, Omega, beta, N))
+        for amplitude in (4.0, 20.0, 100.0):
+            gamma, y, Omega = _measurement(K, kind, seed=seed, amplitude=amplitude)
+            for lam in (0.7, 1.0, 1.3):
+                beta = round_beta(float(np.max(np.abs(gamma.values))), lam)
+                cases.append((y, lam, Omega, beta))
     return cases
 
 
 def test_usf_recover_keeps_the_oracle_diagnostics_and_strict_failures():
     raised = 0
-    for y, lam, Omega, beta, N in _strict_cases():
+    for y, lam, Omega, beta in _strict_cases():
         for strict in (False, True):
             try:
-                expected = _reference.usf_recover(y, lam, Omega, beta, N=N, strict=strict)
+                expected = _reference.usf_recover(y, lam, Omega, beta, strict=strict)
             except FoldConsistencyError as exc:
                 raised += 1
                 with pytest.raises(FoldConsistencyError) as ours:
-                    usf_recover(y, lam, Omega, beta, N=N, strict=strict)
+                    usf_recover(y, lam, Omega, beta, strict=strict)
                 assert str(ours.value) == str(exc)
                 continue
-            report = usf_recover(y, lam, Omega, beta, N=N, strict=strict)
+            report = usf_recover(y, lam, Omega, beta, strict=strict)
             assert list(report.diagnostics) == list(expected.diagnostics)
             assert report.diagnostics == expected.diagnostics
             np.testing.assert_array_equal(report.gamma_hat.values, expected.gamma_hat.values)
@@ -181,38 +175,41 @@ def test_usf_recover_keeps_the_oracle_diagnostics_and_strict_failures():
 
 def test_strict_failure_names_the_oracle_stage():
     stages = set()
-    for y, lam, Omega, beta, N in _strict_cases():
+    for y, lam, Omega, beta in _strict_cases():
         try:
-            _reference.usf_recover(y, lam, Omega, beta, N=N)
+            _reference.usf_recover(y, lam, Omega, beta)
         except FoldConsistencyError as exc:
             stages.add(str(exc).split(":")[0])
     assert len(stages) >= 2, stages
 
 
-@pytest.mark.parametrize("N", [1, 2, 3])
-def test_strict_check_at_the_bound(N):
-    # with the order forced, beta sets only the check: stage n fails when its
-    # norm exceeds (rho^n + 1e-6) * beta. Put beta just below and just above
-    # the largest beta at which some stage fails
-    gamma, y, Omega = _measurement(256, "noiseless")
-    probe = usf_recover(y, 1.0, Omega, 4.0, N=N, strict=False).diagnostics
+@pytest.mark.parametrize("amplitude, N", [(4.0, 1), (20.0, 2), (100.0, 3)])
+def test_strict_check_at_the_bound(amplitude, N):
+    # where beta leaves the rule's order unchanged, it sets only the check:
+    # stage n fails when its norm exceeds (rho^n + 1e-6) * beta. Put beta
+    # just below and just above the largest beta at which some stage fails
+    gamma, y, Omega = _measurement(256, "noiseless", amplitude=amplitude)
+    beta0 = round_beta(float(np.max(np.abs(gamma.values))), 1.0)
+    probe = usf_recover(y, 1.0, Omega, beta0, strict=False).diagnostics
+    assert probe["N"] == N
     rho = probe["T_Omega_e"]
-    norms = [probe[f"stage_{n}_excess"] + rho**n * 4.0 for n in range(N)]
+    norms = [probe[f"stage_{n}_excess"] + rho**n * beta0 for n in range(N)]
     critical = max(norm / (rho**n + 1e-6) for n, norm in enumerate(norms))
     for factor, raises in ((1 - 1e-9, True), (1 + 1e-9, False)):
         beta = critical * factor
+        assert choose_order(1.0, beta, y.grid.T, Omega) == N
         try:
-            _reference.usf_recover(y, 1.0, Omega, beta, N=N)
+            _reference.usf_recover(y, 1.0, Omega, beta)
             oracle = None
         except FoldConsistencyError as exc:
             oracle = str(exc)
         assert (oracle is not None) == raises
         if raises:
             with pytest.raises(FoldConsistencyError) as ours:
-                usf_recover(y, 1.0, Omega, beta, N=N)
+                usf_recover(y, 1.0, Omega, beta)
             assert str(ours.value) == oracle
         else:
-            usf_recover(y, 1.0, Omega, beta, N=N)
+            usf_recover(y, 1.0, Omega, beta)
 
 
 def test_one_row_and_batch_agree():
@@ -236,9 +233,13 @@ def test_difference_ladder_matches_direct_differences():
     np.testing.assert_array_equal(diffs[0], y)
     for n in range(1, 6):
         np.testing.assert_array_equal(diffs[n], finite_difference(y, n))
+    # T*Omega*e = 0.97 asks for an order N >= K at beta = 4 lambda
     sv = SampleVector(values=y, grid=UniformGrid(T=1.0, K=40))
+    Omega = 0.97 / np.e
+    N = choose_order(1.0, 4.0, 1.0, Omega)
+    assert N >= 40
     with pytest.raises(ValueError) as ours:
-        recovery._baseline_order(sv, 1.0, 2.0, 1.0, 40)
+        recovery._baseline_order(sv, 1.0, 4.0, Omega)
     with pytest.raises(ValueError) as direct:
-        finite_difference(y, 40)
+        finite_difference(y, N)
     assert str(ours.value) == str(direct.value)

@@ -14,6 +14,7 @@ from modsample import spectral
 from modsample import (
     FoldConsistencyError,
     ModsampleError,
+    OversamplingInsufficientError,
     RecoveryError,
     SampleVector,
     UndersampledError,
@@ -349,10 +350,12 @@ class TestUsfRecover:
         report = usf_recover(y2, 1.0, Omega, beta, strict=False)
         assert report.method == "usf"
 
-    def test_forced_order_validation(self):
-        _, y, Omega, beta = self._oversampled()
-        with pytest.raises(ValueError):
-            usf_recover(y, 1.0, Omega, beta, N=0)
+    def test_order_rule_validation(self):
+        _, y, Omega, _ = self._oversampled()
+        with pytest.raises(ValueError, match="beta must be >= threshold"):
+            usf_recover(y, 1.0, Omega, 0.5)
+        with pytest.raises(OversamplingInsufficientError):
+            usf_recover(y, 1.0, 1.0 / (y.grid.T * np.e), 4.0)
 
 
 class TestOptimizeLambda:
