@@ -48,6 +48,12 @@ def _width(Lz: int, M: int) -> int:
     return min(2 * M, max(M + 1, Lz - 2 * M))
 
 
+def _hankel(z: np.ndarray, Q: int) -> np.ndarray:
+    """The width-Q Hankel matrix H[r, j] = z[r + j] of a contiguous complex
+    z, viewed in place (sliding_window_view costs about 15 us a call)."""
+    return np.ndarray((len(z) - Q + 1, Q), complex, z, 0, 2 * z.strides)
+
+
 def _high_pass(half, K: int, P: int) -> np.ndarray:
     """The K high-pass samples: the inverse FFT of `half` with the in-band
     bins 0..P zeroed."""
@@ -98,11 +104,9 @@ def grid_support(half, K: int, P: int, M: int) -> np.ndarray:
     # K//2+1..K-P-1
     z = np.concatenate((half[P + 1 :], half[P + 1 : K - K // 2][::-1].conj()))
     Q = _width(len(z), M)
-    # H[r, j] = z[r + j], viewed in place (sliding_window_view costs about
-    # 15 us a call); H and its triangular QR factor share their right
+    # the Hankel matrix and its triangular QR factor share their right
     # singular vectors, and the Q x Q factor is the cheaper one to decompose
-    H = np.ndarray((len(z) - Q + 1, Q), complex, z, 0, 2 * z.strides)
-    _, _, vh = np.linalg.svd(np.linalg.qr(H, mode="r"))
+    _, _, vh = np.linalg.svd(np.linalg.qr(_hankel(z, Q), mode="r"))
     # conj(v) . (xi^j)_j is the DFT of conj(v) at the root's grid index
     noise = np.fft.fft(np.conj(vh[M:]), n=K, axis=1)
     power = np.sum(np.abs(noise) ** 2, axis=0)

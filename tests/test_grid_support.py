@@ -1,8 +1,10 @@
 """The grid support, read from the real half spectrum, against the oracle
 in `_reference`, read from the out-of-band slice of the full DFT: the same
 support on spike spectra of every Hankel shape parity, on the trial
-families of the acceptance criteria and on dense captures, and a refusal
-of a spectrum that is not the half of a real one."""
+families of the acceptance criteria and on dense captures; the in-place
+Hankel view, whose QR factor keeps the singular values and the noise
+subspace of the Hankel matrix; and a refusal of a spectrum that is not
+the half of a real one."""
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from modsample import (
     quantize,
     synthesize_random,
 )
-from modsample.spectral import _width
+from modsample.spectral import _hankel, _width
 
 
 def _spectra(x, P):
@@ -66,6 +68,29 @@ def test_same_support_as_the_oracle_for_every_shape(L_even):
                 np.testing.assert_array_equal(support, _reference.grid_support(z, L, M))
                 np.testing.assert_array_equal(support, k)
     assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("Lz, M", [(9, 4), (10, 4), (11, 4), (12, 4), (13, 4), (20, 5),
+                                   (21, 5), (40, 9), (41, 9), (64, 12), (65, 12)])
+def test_singular_values_match_the_hankel_matrix(Lz, M):
+    rng = np.random.default_rng(Lz * 100 + M)
+    L = Lz + 7  # P = 3
+    (_, z), _ = _spike_bins(rng, L, 3, M)
+    z = z + 1e-3 * (rng.standard_normal(Lz) + 1j * rng.standard_normal(Lz))
+    z = 0.5 * (z + z[::-1].conj())  # noisy but conjugate-symmetric: full rank
+    Q = _width(Lz, M)
+    H = _hankel(z, Q)
+    dense = np.lib.stride_tricks.sliding_window_view(z, Q)
+    np.testing.assert_array_equal(H, dense)
+    assert np.shares_memory(H, z)
+    # the QR factor that grid_support decomposes keeps the singular values
+    # and the noise subspace of the Hankel matrix
+    _, s_hankel, vh_hankel = np.linalg.svd(dense)
+    _, s_r, vh_r = np.linalg.svd(np.linalg.qr(H, mode="r"))
+    np.testing.assert_allclose(s_r, s_hankel, rtol=0, atol=1e-12 * s_hankel[0])
+    noise_hankel = vh_hankel[M:].conj().T @ vh_hankel[M:]
+    noise_r = vh_r[M:].conj().T @ vh_r[M:]
+    np.testing.assert_allclose(noise_r, noise_hankel, rtol=0, atol=1e-8)
 
 
 def test_a_spectrum_that_is_not_a_real_half_is_refused():

@@ -91,6 +91,20 @@ def test_grid_larger_than_a_block_spanning_two_orders():
     _assert_same_search(y, gamma, Omega, 0.3, 2.0, 0.01)
 
 
+@pytest.mark.parametrize("amplitude, orders", [(4.0, {1, 2}), (20.0, {2}), (100.0, {3})])
+def test_every_rule_order_scores_bitwise_as_the_oracle(amplitude, orders):
+    # the rule's order grows with the amplitude, so the batched unfolding
+    # runs at orders 1 to 3 on 8-bit samples
+    gamma, y, Omega = _measurement(256, "8-bit", amplitude=amplitude)
+    grid = np.arange(0.55, 1.45 + 0.005, 0.01)
+    gamma_inf = float(np.max(np.abs(gamma.values)))
+    assert {choose_order(lam, round_beta(gamma_inf, lam), y.grid.T, Omega) for lam in grid} == orders
+    mse_of, _, failed = recovery._grid_mse(y, gamma, Omega, grid)
+    assert failed == {}
+    np.testing.assert_array_equal(mse_of, _oracle_scores(y, gamma, Omega, grid))
+    _assert_same_search(y, gamma, Omega, 0.55, 1.45, 0.01)
+
+
 def _near_critical(K=64, rho=0.97):
     """A signal sampled with T*Omega*e = rho close to 1: the order rule asks
     for N >= K at the small thresholds of 0.2:1.2 and for N < K above."""
