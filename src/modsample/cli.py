@@ -169,9 +169,10 @@ def _cmd_sweep(args) -> int:
         source=_synthetic_source(args),
         M=args.M,
         lambda_grid=_parse_lambda_grid(args.lambda_grid),
+        output_dir=args.output_dir,
     )
     values = [v for v in args.values.split(",") if v]
-    rows = harness.sweep(cfg, args.axis, values, output_dir=args.output_dir)
+    rows = harness.sweep(cfg, args.axis, values)
     failures = sum(1 for row in rows if row["error"])
     print(f"swept {args.axis} over {len(rows)} values ({failures} failures); "
           f"results in {args.output_dir}/sweep.csv")

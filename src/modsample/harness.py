@@ -25,9 +25,10 @@ _GRID_UNIFORMITY_RTOL = 1e-6
 @dataclass(frozen=True)
 class SyntheticSource:
     """Synthetic signal + fold-model description. One period tau is sampled
-    at K points, which fixes the grid. The folds are ideal unless the
+    at K >= 2 points, which fixes the grid. The folds are ideal unless the
     `nonideality` config perturbs them; `bits` in [1, 53] quantizes the
-    modulo samples. The seed of the signal draw is a nonnegative int."""
+    modulo samples. The bandwidth index P and the seed of the signal draw
+    are nonnegative ints."""
 
     P: int
     tau: float
@@ -41,6 +42,10 @@ class SyntheticSource:
     def __post_init__(self):
         if self.K <= 0:
             raise ValueError(f"K must be positive, got {self.K}")
+        if self.K == 1:
+            raise ValueError("K must be at least 2, got 1")
+        if self.P < 0:
+            raise ValueError(f"P must be nonnegative, got {self.P!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         if self.bits is not None and not 1 <= self.bits <= 53:
@@ -321,45 +326,30 @@ def _flatten(prefix: str, value) -> dict:
     return flat
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run one experiment and write metrics / reconstruction / spectrum files.
-
-    The metrics echo the config as given, plus the T, K and M the run
-    resolved. Returns the metrics dict with unformatted values. On failure
-    the files this run began to write are removed; those an earlier run
-    left in the output directory stay.
-    """
-    out_dir = Path(cfg.output_dir) if cfg.output_dir else None
-    written: list = []
-    try:
-        return _run_experiment_inner(cfg, out_dir, written)
-    except Exception:
-        for target in written:
-            target.unlink(missing_ok=True)
-        raise
-
-
 def _measure(cfg: ExperimentConfig):
-    """(grid, y, truth, tau, P, folds, threshold) of the configured source.
-    A synthetic source's P and threshold stand in for unset config ones. A
-    capture may lack the truth column and the ``folds`` header (None), and
-    its P and threshold are the configured ones."""
+    """(y, truth, tau, P, folds, threshold) of the configured source; truth
+    is a SampleVector on the grid of y, or None. A synthetic source's P and
+    threshold stand in for unset config ones. A capture may lack the truth
+    column and the ``folds`` header (None), and its P and threshold are the
+    configured ones."""
     if cfg.source is not None:
         src = cfg.source
         gamma, y, spec = synthesize_measurement(src)
         P = src.P if cfg.P_used is None else cfg.P_used
         threshold = src.threshold if cfg.threshold is None else cfg.threshold
         folds = realized_fold_count(spec, src.grid)
-        return src.grid, y, gamma.values, src.tau, P, folds, threshold
+        return y, gamma, src.tau, P, folds, threshold
     capture = load_capture(cfg.capture_path)
     if cfg.P_used is None:
         raise ValueError("P_used is required for capture sources")
-    grid = signal_model.UniformGrid(T=capture.T, K=capture.K)
+    y = signal_model.SampleVector(
+        values=capture.modulo, grid=signal_model.UniformGrid(T=capture.T, K=capture.K)
+    )
+    truth = None if capture.ground_truth is None else y.with_values(capture.ground_truth)
     folds = capture.metadata.get("folds")
     return (
-        grid,
-        signal_model.SampleVector(values=capture.modulo, grid=grid),
-        capture.ground_truth,
+        y,
+        truth,
         float(capture.metadata["tau"]),
         cfg.P_used,
         None if folds is None else int(folds),
@@ -367,10 +357,17 @@ def _measure(cfg: ExperimentConfig):
     )
 
 
-def _run_experiment_inner(cfg: ExperimentConfig, out_dir, written: list) -> dict:
-    """The run; each output path goes on `written` before it is opened."""
-    grid, y, gamma_values, tau, P_used, folds, threshold = _measure(cfg)
-    if cfg.lambda_grid is not None and gamma_values is None:
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Run one experiment and write metrics / reconstruction / spectrum files.
+
+    The metrics echo the config as given, plus the T, K and M the run
+    resolved. Returns the metrics dict with unformatted values. Files are
+    written only after every metric is computed, to `cfg.output_dir` when
+    it is set; if a write fails, the files this run began to write are
+    removed, and those an earlier run left in the output directory stay.
+    """
+    y, truth, tau, P_used, folds, threshold = _measure(cfg)
+    if cfg.lambda_grid is not None and truth is None:
         raise ValueError(
             "the lambda grid scores each threshold against the truth, and the "
             "capture has no truth column"
@@ -385,22 +382,19 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir, written: list) -> dict
     metrics = _flatten("config", asdict(cfg))
     dr_y = signal_model.dynamic_range(y)
     metrics.update(
-        tau=tau, T=grid.T, K=grid.K, P_used=P_used, M=M,
+        tau=tau, T=y.grid.T, K=y.grid.K, P_used=P_used, M=M,
         T_FD=T_fd, T_US=T_us, K_min=K_min, DR_y=dr_y,
     )
-    if gamma_values is not None:
-        gamma_sv = signal_model.SampleVector(values=gamma_values, grid=grid)
-        metrics["DR_gamma"] = signal_model.dynamic_range(gamma_sv)
+    if truth is not None:
+        metrics["DR_gamma"] = signal_model.dynamic_range(truth)
         metrics["DR_ratio"] = metrics["DR_gamma"] / dr_y
 
     fp_report = None
     us_report = None
     if cfg.method in ("fp", "both"):
         fp_report = recovery.fourier_prony_recover(y, P_used, M)
-        if gamma_values is not None:
-            metrics["MSE_FD"] = recovery.calibrated_mse(
-                fp_report.gamma_hat.values, gamma_values
-            )
+        if truth is not None:
+            metrics["MSE_FD"] = recovery.calibrated_mse(fp_report.gamma_hat.values, truth.values)
     if cfg.method in ("usf", "both"):
         if threshold is None:
             raise ValueError("baseline recovery requires a folding threshold")
@@ -409,8 +403,8 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir, written: list) -> dict
         # The estimate is zero-mean, and the baseline shifts its own by
         # multiples of 2*threshold until the midrange is within threshold of
         # 0, so half the estimate's range plus the threshold bounds it
-        if gamma_values is not None:
-            gamma_inf = float(np.max(np.abs(gamma_values)))
+        if truth is not None:
+            gamma_inf = float(np.max(np.abs(truth.values)))
         elif fp_report is not None:
             gamma_inf = float(np.ptp(fp_report.gamma_hat.values)) / 2 + threshold
         else:
@@ -422,46 +416,42 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir, written: list) -> dict
         beta = folding.round_beta(gamma_inf, threshold)
         try:
             us_report = recovery.usf_recover(y, threshold, Omega, beta)
-            if gamma_values is not None:
+            if truth is not None:
                 metrics["MSE_US"] = recovery.calibrated_mse(
-                    us_report.gamma_hat.values, gamma_values
+                    us_report.gamma_hat.values, truth.values
                 )
         except ModsampleError as exc:
             metrics["MSE_US"] = None
             metrics["US_error"] = str(exc)
         if cfg.lambda_grid is not None:
-            lo, hi, step = cfg.lambda_grid
             try:
                 lam_opt, opt_report = recovery.optimize_lambda(
-                    y,
-                    signal_model.SampleVector(values=gamma_values, grid=grid),
-                    Omega,
-                    lo,
-                    hi,
-                    step,
+                    y, truth, Omega, *cfg.lambda_grid
                 )
                 metrics["lambda_opt"] = lam_opt
-                metrics["MSE_USopt"] = recovery.calibrated_mse(
-                    opt_report.gamma_hat.values, gamma_values
-                )
+                metrics["MSE_USopt"] = opt_report.diagnostics["lambda_opt_mse"]
             except ModsampleError as exc:
                 metrics["USopt_error"] = str(exc)
 
-    if out_dir is not None:
-        # recovery is zero-mean; shift the written estimates to the truth's mean
-        mean = 0.0 if gamma_values is None else float(np.mean(gamma_values))
+    if not cfg.output_dir:
+        return metrics
+    out_dir = Path(cfg.output_dir)
+    # recovery is zero-mean; shift the written estimates to the truth's mean
+    mean = 0.0 if truth is None else float(np.mean(truth.values))
+    k = np.arange(y.grid.K)
+    written: list = []  # each path goes here before it is opened
+    try:
         out_dir.mkdir(parents=True, exist_ok=True)
         written.append(out_dir / "metrics.txt")
         _write_metrics(written[-1], metrics)
-        k = np.arange(grid.K)
         written.append(out_dir / "reconstruction.csv")
         _write_table(
             written[-1],
             {
                 "k": k,
-                "t": k * grid.T,
+                "t": k * y.grid.T,
                 "y": y.values,
-                "gamma_true": gamma_values,
+                "gamma_true": None if truth is None else truth.values,
                 "gamma_fd": fp_report.gamma_hat.values + mean if fp_report else None,
                 "gamma_us": us_report.gamma_hat.values + mean if us_report else None,
                 "residue_fd": fp_report.residue_hat.values if fp_report else None,
@@ -470,6 +460,10 @@ def _run_experiment_inner(cfg: ExperimentConfig, out_dir, written: list) -> dict
         )
         written.append(out_dir / "spectrum.csv")
         _write_spectrum(written[-1], y, fp_report)
+    except Exception:
+        for target in written:
+            target.unlink(missing_ok=True)
+        raise
     return metrics
 
 
@@ -497,14 +491,16 @@ def _write_spectrum(path, y, fp_report):
     )
 
 
-def sweep(cfg: ExperimentConfig, axis: str, values, output_dir=None) -> list[dict]:
+def sweep(cfg: ExperimentConfig, axis: str, values) -> list[dict]:
     """Run `cfg` once per value of the named field of `_SWEEP_AXES`;
     run failures are recorded in-row and the sweep continues. Every value
     is cast and its config built before the first run, so a value that
     makes no config raises ValueError with nothing written. Rows come back
-    sorted by the axis value."""
+    sorted by the axis value. When `cfg.output_dir` is set, each run writes
+    to its subdirectory ``<axis>_<value>`` and the rows go to its
+    ``sweep.csv``."""
     runs = [(value, _set_axis(cfg, axis, value)) for value in values]
-    base_out = Path(output_dir) if output_dir else None
+    base_out = Path(cfg.output_dir) if cfg.output_dir else None
     if base_out is not None:
         base_out.mkdir(parents=True, exist_ok=True)
     rows = []

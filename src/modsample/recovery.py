@@ -120,30 +120,12 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
     half spectrum of the differenced samples: the other out-of-band bins
     are the conjugates of these.
 
-    The support comes from one of two estimators, and
-    ``diagnostics["support_estimator"]`` names it:
-
-    - ``"inband_l1"``, :func:`spectral.inband_support`, runs first where
-      the Hankel width of :func:`spectral.grid_support` exceeds M+1, that
-      is where the Lz = K-2P-1 out-of-band bins number more than 3M+1 and
-      M >= 2. Its support is kept when the amplitude fit on it leaves a
-      residual of at most 1e-9 of the norm of the out-of-band bins
-      n <= K/2. The Lz >= 2M+1 bins admit only one M-spike train, so a
-      support that fits them is the true one. Its reweighting stops after
-      at most 20 steps; it took 2 or 3 on the benchmark's captures, up to
-      M = K/4.
-    - ``"grid"``, :func:`spectral.grid_support`, runs everywhere else: at
-      the width M+1, near the sampling bound, where the l1 support is
-      usually wrong, and wherever the l1 fit is not certified, as under
-      quantization noise or when its amplitude system is singular. A
-      singular amplitude system on the grid's support raises
-      RecoveryError at step 4.
-
-    Where the grid's support is right a certified l1 support equals it,
-    so there the order only saves time: an l1 step costs a few length-K
-    FFTs, against a QR and an SVD of a matrix up to 2M wide. Where the
-    grid's support is wrong, as on some dense folds, a certified l1
-    support is still the true one.
+    The support comes from :func:`spectral.fit_spikes`, the in-band l1 fit
+    where it is certified and else the Hankel grid search, and
+    ``diagnostics["support_estimator"]`` names the estimator that found it
+    (``"inband_l1"`` or ``"grid"``); see :func:`spectral.fit_spikes` for the
+    order and the certificate. A singular amplitude system on the grid's
+    support raises RecoveryError at step 4.
 
     Parameters
     ----------
@@ -184,21 +166,13 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
     ybar = folding.finite_difference(y.values, 1, circular=True)
     half = np.fft.fft(ybar)[: K // 2 + 1]
 
-    # step 4: spike support and real amplitudes, from the in-band l1 fit
-    # where the grid's Hankel width exceeds M+1 and its amplitude fit is
-    # certified, else from the grid; a singular amplitude system on the
-    # grid's support raises LinAlgError, a ValueError
-    fit = None
-    if spectral._width(K - 2 * P - 1, M) > M + 1:
-        fit = _certified_inband_fit(half, K, P, M)
-    diagnostics["support_estimator"] = "grid" if fit is None else "inband_l1"
-    if fit is None:
-        try:
-            k_hat = spectral.grid_support(half, K, P, M)
-            fit = (k_hat, *spectral.amplitudes_ls(half, K, P, k_hat))
-        except ValueError as exc:
-            raise RecoveryError(str(exc), step=4) from exc
-    k_hat, c_hat, residual = fit
+    # step 4: spike support and real amplitudes; a singular amplitude
+    # system on the grid's support raises LinAlgError, a ValueError
+    try:
+        k_hat, c_hat, residual, estimator = spectral.fit_spikes(half, K, P, M)
+    except ValueError as exc:
+        raise RecoveryError(str(exc), step=4) from exc
+    diagnostics["support_estimator"] = estimator
     diagnostics["fit_residual"] = residual
 
     # step 5: the differenced residue is c_hat at the support
@@ -218,22 +192,6 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
         method="fourier_prony",
         diagnostics=diagnostics,
     )
-
-
-def _certified_inband_fit(half, K: int, P: int, M: int):
-    """(support, amplitudes, fit residual) from :func:`spectral.inband_support`
-    when the amplitude fit on its support leaves a residual of at most
-    1e-9 of the out-of-band bins' norm, else None. The out-of-band bins
-    outnumber 2M, so at most one M-spike train fits them: a support that
-    fits is the true one."""
-    try:
-        k = spectral.inband_support(half, K, P, M)
-        c, residual = spectral.amplitudes_ls(half, K, P, k)
-    except np.linalg.LinAlgError:
-        return None
-    if residual <= 1e-9 * np.linalg.norm(half[P + 1 :]):
-        return k, c, residual
-    return None
 
 
 def _baseline_order(y: SampleVector, threshold, beta, Omega: float) -> int:

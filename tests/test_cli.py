@@ -112,6 +112,14 @@ class TestSimulate:
         assert f"bits must lie in [1, 53], got {bits}" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
+    def test_single_sample_is_config_error(self, tmp_path, capsys):
+        # was exit 0 and a one-row capture.csv that recover refused
+        code = main(["simulate", "--tau", "1", "--K", "1", "--P", "0", "--lambda", "1",
+                     "--output-dir", str(tmp_path / "sim")])
+        assert code == 2
+        assert "K must be at least 2, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         # was numpy's "expected non-negative integer", which named no flag
         code = main(["simulate", "--tau", "1", "--K", "64", "--P", "3", "--lambda", "1",
@@ -560,7 +568,7 @@ class TestSweep:
         assert "amplitude must be finite and positive, got nan" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("axis", ["M", "P_used"])
+    @pytest.mark.parametrize("axis", ["M", "P_used", "P"])
     def test_negative_count_fails_before_any_run(self, tmp_path, capsys, axis):
         out = tmp_path / "sw"
         code = main(
@@ -569,6 +577,17 @@ class TestSweep:
         )
         assert code == 2
         assert f"{axis} must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_p_flag_fails_before_any_run(self, tmp_path, capsys):
+        # was exit 0, "(1 failures)", with the error recorded in its row
+        out = tmp_path / "sw"
+        code = main(
+            ["sweep", "--tau", "1", "--K", "64", "--P", "-2", "--lambda", "1",
+             "--axis", "K", "--values", "64", "--output-dir", str(out)]
+        )
+        assert code == 2
+        assert "P must be nonnegative, got -2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bits_out_of_range_fails_before_any_run(self, tmp_path, capsys):

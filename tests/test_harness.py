@@ -1,6 +1,7 @@
 """Unit tests for the experiment harness: capture I/O, orchestration,
 metrics emission and parameter sweeps."""
 
+import csv
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -437,6 +438,12 @@ class TestSynthesizeMeasurement:
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
             self._source(seed=-1)
 
+    def test_negative_p_and_a_single_sample_are_named(self):
+        with pytest.raises(ValueError, match="P must be nonnegative, got -2"):
+            self._source(P=-2)
+        with pytest.raises(ValueError, match="K must be at least 2, got 1"):
+            self._source(K=1)
+
     @pytest.mark.parametrize("bits", [0, 54, 2000])
     def test_bits_must_lie_in_range(self, bits):
         with pytest.raises(ValueError, match=rf"bits must lie in \[1, 53\], got {bits}"):
@@ -726,20 +733,33 @@ class TestRunExperiment:
 
 class TestSweep:
     def test_empty_values(self, tmp_path):
-        rows = sweep(_synthetic_config(), "K", [], output_dir=str(tmp_path))
+        rows = sweep(_synthetic_config(tmp_path), "K", [])
         assert rows == []
         header = (tmp_path / "sweep.csv").read_text().splitlines()
         assert header[0].startswith("axis,value,error")
 
     def test_k_sweep_sorted_with_failures_recorded(self, tmp_path):
-        cfg = _synthetic_config(method="fp")
-        rows = sweep(cfg, "K", ["128", "24", "96"], output_dir=str(tmp_path))
+        cfg = _synthetic_config(tmp_path, method="fp")
+        rows = sweep(cfg, "K", ["128", "24", "96"])
         assert [row["value"] for row in rows] == [24.0, 96.0, 128.0]
         # K=24 is below the recovery bound for this signal: failure in-row
         assert rows[0]["error"] != ""
         assert rows[1]["error"] == "" and rows[2]["error"] == ""
         assert float(rows[2]["MSE_FD"]) < 1e-10
         assert (tmp_path / "sweep.csv").exists()
+
+    def test_each_run_writes_under_the_config_output_dir(self, tmp_path):
+        # a library sweep whose only directory is the config's gives each
+        # run its own subdirectory, not one directory every run overwrites
+        rows = sweep(_synthetic_config(tmp_path, method="fp"), "K", [64, 96])
+        assert [row["error"] for row in rows] == ["", ""]
+        for K in (64, 96):
+            metrics = (tmp_path / f"K_{K}" / "metrics.txt").read_text().splitlines()
+            assert f"K = {K}" in metrics
+            assert f"config.output_dir = {tmp_path / f'K_{K}'}" in metrics
+        assert not (tmp_path / "metrics.txt").exists()
+        rows = list(csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines()))
+        assert [row["K"] for row in rows] == ["64", "96"]
 
     def test_source_axis(self):
         rows = sweep(_synthetic_config(method="fp"), "seed", [1, 2])

@@ -304,6 +304,33 @@ class TestSupportEstimators:
         assert report.diagnostics["support_estimator"] == "grid"
         self._assert_exact(report, trial)
 
+    def test_a_singular_l1_step_falls_back_to_the_grid(self, monkeypatch):
+        def singular(half, K, P, M):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(spectral, "inband_support", singular)
+        grid_calls = _counting(monkeypatch, "grid_support")
+        trial = self._oversampled()
+        report = fourier_prony_recover(trial.y, trial.P, trial.M)
+        assert report.diagnostics["support_estimator"] == "grid"
+        assert len(grid_calls) == 1
+        self._assert_exact(report, trial)
+
+    def test_fit_spikes_is_the_reported_fit(self):
+        # the l1 fit on the oversampled trial, the grid on criterion-1 trials
+        for trial, estimator in [(self._oversampled(), "inband_l1")] + [
+            (trial, "grid") for trial in ideal_trials(20, seed0=0)
+        ]:
+            half = np.fft.fft(finite_difference(trial.y.values, 1, circular=True))
+            k, c, residual, used = spectral.fit_spikes(
+                half[: trial.grid.K // 2 + 1], trial.grid.K, trial.P, trial.M
+            )
+            report = fourier_prony_recover(trial.y, trial.P, trial.M)
+            assert used == report.diagnostics["support_estimator"] == estimator
+            assert residual == report.diagnostics["fit_residual"]
+            np.testing.assert_array_equal(k, report.support)
+            assert c.tobytes() == report.amplitudes.tobytes()
+
 
 class TestUsfRecover:
     def _oversampled(self, seed=9, P=2, amplitude=3.0, K=256):
