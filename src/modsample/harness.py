@@ -361,10 +361,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one experiment and write metrics / reconstruction / spectrum files.
 
     The metrics echo the config as given, plus the T, K and M the run
-    resolved. Returns the metrics dict with unformatted values. Files are
-    written only after every metric is computed, to `cfg.output_dir` when
-    it is set; if a write fails, the files this run began to write are
-    removed, and those an earlier run left in the output directory stay.
+    resolved; fp and both runs add the spike fit's fit_residual and
+    support_estimator (None when M = 0). Returns the metrics dict with
+    unformatted values. Files are written only after every metric is
+    computed, to `cfg.output_dir` when it is set; if a write fails, the
+    files this run began to write are removed, and those an earlier run
+    left in the output directory stay.
     """
     y, truth, tau, P_used, folds, threshold = _measure(cfg)
     if cfg.lambda_grid is not None and truth is None:
@@ -393,6 +395,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     us_report = None
     if cfg.method in ("fp", "both"):
         fp_report = recovery.fourier_prony_recover(y, P_used, M)
+        # the spike fit's misfit and support estimator; empty when M = 0
+        for key in ("fit_residual", "support_estimator"):
+            metrics[key] = fp_report.diagnostics.get(key)
         if truth is not None:
             metrics["MSE_FD"] = recovery.calibrated_mse(fp_report.gamma_hat.values, truth.values)
     if cfg.method in ("usf", "both"):
@@ -495,16 +500,19 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> list[dict]:
     """Run `cfg` once per value of the named field of `_SWEEP_AXES`;
     run failures are recorded in-row and the sweep continues. Every value
     is cast and its config built before the first run, so a value that
-    makes no config raises ValueError with nothing written. Rows come back
-    sorted by the axis value. When `cfg.output_dir` is set, each run writes
-    to its subdirectory ``<axis>_<value>`` and the rows go to its
+    makes no config, or that repeats another once cast, raises ValueError
+    with nothing written. Rows come back sorted by the axis value. When
+    `cfg.output_dir` is set, each run writes to its subdirectory
+    ``<axis>_<value>``, named by the cast value, and the rows go to its
     ``sweep.csv``."""
-    runs = [(value, _set_axis(cfg, axis, value)) for value in values]
+    runs = dict(_set_axis(cfg, axis, value) for value in values)
+    if len(runs) < len(values):
+        raise ValueError(f"axis {axis!r} repeats a value once cast: {', '.join(map(str, values))}")
     base_out = Path(cfg.output_dir) if cfg.output_dir else None
     if base_out is not None:
         base_out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value, run_cfg in runs:
+    for value, run_cfg in runs.items():
         if base_out is not None:
             run_cfg = replace(run_cfg, output_dir=str(base_out / f"{axis}_{value}"))
         row = {"axis": axis, "value": float(value), "error": ""}
@@ -540,7 +548,8 @@ _SWEEP_AXES = {
 }
 
 
-def _set_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
+def _set_axis(cfg: ExperimentConfig, axis: str, value):
+    """(value cast to the axis type, `cfg` with the axis set to it)."""
     if axis not in _SWEEP_AXES:
         raise ValueError(f"{axis!r} is not a sweep axis; the axes are {', '.join(_SWEEP_AXES)}")
     cast, where = _SWEEP_AXES[axis]
@@ -549,7 +558,7 @@ def _set_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     except ValueError:
         raise ValueError(f"axis {axis!r} takes {cast.__name__} values, got {value!r}") from None
     if where == "config":
-        return replace(cfg, **{axis: value})
+        return value, replace(cfg, **{axis: value})
     if cfg.source is None:
         raise ValueError(f"axis {axis!r} requires a synthetic source")
-    return replace(cfg, source=replace(cfg.source, **{axis: value}))
+    return value, replace(cfg, source=replace(cfg.source, **{axis: value}))

@@ -113,7 +113,7 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
     K >= 2(P+M+1), and the folding threshold is never consulted.
 
     The amplitudes are fitted by least squares over every out-of-band bin,
-    solved in the time domain as an M x M high-pass Gram system
+    solved in the time domain as one low-pass fit off the support
     (:func:`spectral.amplitudes_ls`). ``diagnostics["fit_residual"]`` is
     the norm of the fit's misfit over the out-of-band bins n <= K/2,
     ||DFT(spikes)[n] + half[n]|| for P < n <= K/2, where half is the real

@@ -11,12 +11,13 @@ and never root a polynomial: :func:`inband_support` as the least l1 norm
 of the high-pass samples plus a low-pass part, a few FFTs per step, and
 :func:`grid_support` from the noise subspace of a complex Hankel matrix
 of the out-of-band bins, one QR and one SVD. :func:`amplitudes_ls` fits
-the c_m over the out-of-band bins as an M x M high-pass Gram solve in the
-time domain, with no Vandermonde matrix, and its residual certifies a
-support: with at least 2M+1 out-of-band bins only the true support fits
-them exactly. :func:`fit_spikes` is the one spike stage of recovery: it
-owns which support runs, in which order, and when a fit is trusted. Spikes
-are never held as roots or instants in seconds.
+the c_m over the out-of-band bins in the time domain, as the low-pass fit
+of the high-pass samples off the support, with no Vandermonde matrix and
+no M x M system, and its residual certifies a support: with at least
+2M+1 out-of-band bins only the true support fits them exactly.
+:func:`fit_spikes` is the one spike stage of recovery: it owns which
+support runs, in which order, and when a fit is trusted. Spikes are never
+held as roots or instants in seconds.
 """
 
 from __future__ import annotations
@@ -62,6 +63,27 @@ def _high_pass(half, K: int, P: int) -> np.ndarray:
     high = half.copy()
     high[: P + 1] = 0.0
     return np.fft.irfft(high, n=K)
+
+
+def _lowpass_fit(h: np.ndarray, w: np.ndarray, P: int) -> np.ndarray:
+    """The low-pass l, with DFT bins only within P of 0, that minimizes the
+    weighted misfit sum_k w_k (h_k + l_k)^2 over the K = len(h) samples.
+
+    The normal equations in the bins X_p, |p| <= P, of l are the
+    (2P+1)^2 Hermitian Toeplitz system
+    sum_p W[q-p]/K X_p = -DFT(w h)[q], |q| <= P, with W the DFT of w, and
+    l is the inverse real FFT of X on the bins 0..P. So a fit costs a few
+    length-K FFTs and one (2P+1)^2 solve, and builds no K x (2P+1) basis.
+    numpy raises LinAlgError (a ValueError) when the system is singular,
+    that is when some nonzero low-pass signal vanishes wherever w > 0.
+    """
+    K = len(h)
+    # lag q - p of the Toeplitz system, for the bins -P..P, as a DFT index
+    lags = np.subtract.outer(np.arange(2 * P + 1), np.arange(2 * P + 1)) % K
+    rhs = np.fft.rfft(w * h)[: P + 1]
+    X = np.linalg.solve(np.fft.fft(w)[lags] / K, -np.concatenate((rhs[:0:-1].conj(), rhs)))
+    # irfft pads the bins 0..P with zeros up to K//2
+    return np.fft.irfft(X[P:], n=K)
 
 
 def _check_spike_count(K: int, P: int, M: int):
@@ -127,11 +149,9 @@ def inband_support(half, K: int, P: int, M: int) -> np.ndarray:
     ||h + l||_1 over the low-pass l (Candes & Tao, IEEE TIT 2005), by
     iteratively reweighted least squares (Daubechies et al., CPAM 2010).
     Each step weights sample k by w = 1/max(|h + l|, 1e-12 max|h|) and
-    solves the (2P+1)^2 Hermitian Toeplitz system
-    sum_p W[q-p]/K X_p = -DFT(w h)[q], |q| <= P, with W the DFT of w, for
-    the bins X of the new l; l is the inverse real FFT of X on the bins
-    0..P. So a step costs a few length-K FFTs and builds no K x (2P+1)
-    basis. The first step starts from l = 0, the least-squares fit.
+    takes the new l as the weighted low-pass fit of -h, one (2P+1)^2
+    Toeplitz solve (:func:`_lowpass_fit`). The first step starts from
+    l = 0, the least-squares fit.
 
     The steps stop when h + l is numerically M-sparse (its (M+1)-th
     largest magnitude is at most 1e-12 of its largest), when its M largest
@@ -151,19 +171,10 @@ def inband_support(half, K: int, P: int, M: int) -> np.ndarray:
     floor = 1e-12 * np.max(np.abs(h))
     if floor == 0:  # no out-of-band energy: zero spikes fit anywhere
         return np.arange(M)
-    # lag q - p of the Toeplitz system, for the bins -P..P, as a DFT index
-    lags = np.subtract.outer(np.arange(2 * P + 1), np.arange(2 * P + 1)) % K
     r = h
     support = None
     for _ in range(_IRLS_STEPS):
-        w = 1.0 / np.maximum(np.abs(r), floor)
-        rhs = np.fft.rfft(w * h)[: P + 1]
-        X = np.linalg.solve(
-            np.fft.fft(w)[lags] / K, -np.concatenate((rhs[:0:-1].conj(), rhs))
-        )
-        bins = np.zeros(K // 2 + 1, dtype=complex)
-        bins[: P + 1] = X[P:]
-        r = h + np.fft.irfft(bins, n=K)
+        r = h + _lowpass_fit(h, 1.0 / np.maximum(np.abs(r), floor), P)
         mag = np.abs(r)
         order = np.argpartition(mag, K - M - 1)
         previous, support = support, np.sort(order[K - M :])
@@ -182,16 +193,19 @@ def amplitudes_ls(half, K: int, P: int, k) -> tuple[np.ndarray, float]:
     of the high-pass part of the time-domain residual ybar + E c, where E
     places c at the indices k: the high-pass samples h (the bins with
     [0, P] and [K-P, K) zeroed, transformed back) are matched by the
-    high-pass part of the spike train. The normal equations are the M x M
-    system ([k_i == k_j] - l[(k_i - k_j) mod K]) c = -h[k], with l the
-    low-pass kernel (1/K) sum_{|p|<=P} cos(2 pi p d / K). For distinct
-    indices the matrix is I - l[...], symmetric and positive definite
-    unless some spike train on the support is bandlimited; numpy raises
-    LinAlgError (a ValueError) when it is singular, as it is for a repeated
-    index. The cost is three length-K real FFTs and one M x M solve.
+    high-pass part of the spike train. That is the joint least-squares fit
+    of E c + h + l over c and a low-pass l. For a given l the best c is
+    -(h + l) at k, which leaves the misfit of h + l off k; so l is the
+    low-pass fit of -h with weight 0 on k and 1 elsewhere
+    (:func:`_lowpass_fit`, one (2P+1)^2 solve) and c = -(h + l)[k]. The
+    fit is singular, and numpy raises LinAlgError (a ValueError), when
+    some spike train on the support is bandlimited; a repeated index,
+    which that fit would not see, raises LinAlgError too. The cost is a
+    few length-K real FFTs and one (2P+1)^2 solve.
 
     Returns (c, residual), where residual is the norm of the fit's misfit
-    over the out-of-band bins n <= K/2.
+    over the out-of-band bins n <= K/2. As l is low-pass, that is the norm
+    of the out-of-band bins of h + l off k.
     """
     half = _half_spectrum(half, K, P)
     k = np.asarray(k)
@@ -200,16 +214,13 @@ def amplitudes_ls(half, K: int, P: int, k) -> tuple[np.ndarray, float]:
         raise ValueError("need at least one spike")
     if len(half) - (P + 1) < M:
         raise UndersampledError(f"need at least M={M} equations, got {len(half) - (P + 1)}")
+    w = np.ones(K)
+    w[k] = 0.0
+    if np.count_nonzero(w) > K - M:  # an index of k repeats
+        raise np.linalg.LinAlgError("the support repeats an index")
     h = _high_pass(half, K, P)
-    low = np.zeros(len(half))
-    low[: P + 1] = 1.0
-    kernel = np.fft.irfft(low, n=K)
-    gram = np.equal.outer(k, k) - kernel[np.subtract.outer(k, k) % K]
-    c = np.linalg.solve(gram, -h[k])
-    spikes = np.zeros(K)
-    spikes[k] = c
-    residual = float(np.linalg.norm(np.fft.rfft(spikes)[P + 1 :] + half[P + 1 :]))
-    return c, residual
+    r = h + _lowpass_fit(h, w, P)
+    return -r[k], float(np.linalg.norm(np.fft.rfft(w * r)[P + 1 :]))
 
 
 def fit_spikes(half, K: int, P: int, M: int):

@@ -7,8 +7,8 @@ any contiguous bins, conjugate-symmetric or not. The annihilating filter
 (:func:`build_toeplitz_tall`, :func:`annihilator`) and the matrix pencil
 (:func:`matrix_pencil`) estimate the spike roots off the grid, for the
 agreement checks of criterion 8. :func:`amplitudes_ls` is the Vandermonde
-least-squares fit over the out-of-band bins that the time-domain Gram solve
-of :func:`modsample.spectral.amplitudes_ls` replaced. :func:`usf_recover`
+least-squares fit over the out-of-band bins that the time-domain low-pass
+fit of :func:`modsample.spectral.amplitudes_ls` replaced. :func:`usf_recover`
 and :func:`optimize_lambda` are the baseline unfolding one threshold at a
 time and its per-threshold grid search, which the threshold-batched kernel
 of :mod:`modsample.recovery` replaced.

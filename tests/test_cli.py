@@ -536,6 +536,18 @@ class TestSweep:
         assert "K must be positive" in capsys.readouterr().err
         assert not (out / "K_64").exists() and not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("values", ["64,064,64", "64,064"])
+    def test_values_that_repeat_once_cast_are_config_error(self, tmp_path, capsys, values):
+        out = tmp_path / "sw"
+        code = main(
+            ["sweep", "--tau", "1", "--K", "96", "--P", "4", "--lambda", "1",
+             "--amplitude", "4", "--axis", "K", "--values", values, "--output-dir", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"axis 'K' repeats a value once cast: {values.replace(',', ', ')}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "axis", ["lambda_grid", "source", "output_dir", "method", "capture_path"]
     )

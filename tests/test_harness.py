@@ -730,6 +730,33 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("method", ["fp", "both", "usf"])
+    def test_metrics_record_the_spike_fit(self, tmp_path, method):
+        # fp and both runs write the fit's residual and support estimator as
+        # new keys; a usf run has no spike fit and writes neither
+        cfg = _synthetic_config(tmp_path, method=method)
+        metrics = run_experiment(cfg)
+        written = dict(
+            line.split(" = ", 1) for line in (tmp_path / "metrics.txt").read_text().splitlines()
+        )
+        if method == "usf":
+            assert not {"fit_residual", "support_estimator"} & (metrics.keys() | written.keys())
+            return
+        _, y, spec = synthesize_measurement(cfg.source)
+        fit = fourier_prony_recover(y, 4, realized_fold_count(spec, cfg.source.grid)).diagnostics
+        assert metrics["fit_residual"] == fit["fit_residual"]
+        assert metrics["support_estimator"] == fit["support_estimator"]
+        assert written["fit_residual"] == repr(fit["fit_residual"])
+        assert written["support_estimator"] == fit["support_estimator"]
+
+    def test_a_run_without_folds_records_no_spike_fit(self, tmp_path):
+        src = SyntheticSource(P=4, tau=1.0, K=96, amplitude=0.5, seed=3, threshold=1.0)
+        metrics = run_experiment(_synthetic_config(tmp_path, method="fp", source=src))
+        assert metrics["M"] == 0
+        assert metrics["fit_residual"] is None and metrics["support_estimator"] is None
+        written = (tmp_path / "metrics.txt").read_text().splitlines()
+        assert "fit_residual = " in written and "support_estimator = " in written
+
 
 class TestSweep:
     def test_empty_values(self, tmp_path):
@@ -760,6 +787,28 @@ class TestSweep:
         assert not (tmp_path / "metrics.txt").exists()
         rows = list(csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines()))
         assert [row["K"] for row in rows] == ["64", "96"]
+
+    @pytest.mark.parametrize("values", [["64", "064", "64"], ["64", "064"]])
+    def test_values_that_repeat_once_cast_fail_before_any_run(self, tmp_path, values):
+        # 64 and 064 would name one run's directory twice, or two directories
+        # for one run
+        with pytest.raises(ValueError, match="axis 'K' repeats a value once cast: 64, 064"):
+            sweep(_synthetic_config(tmp_path, method="fp"), "K", values)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directories_are_named_by_the_cast_value(self, tmp_path):
+        rows = sweep(_synthetic_config(tmp_path, method="fp"), "tau", ["1", "2.0"])
+        assert [row["error"] for row in rows] == ["", ""]
+        for tau in ("1.0", "2.0"):
+            assert f"tau = {tau}" in (tmp_path / f"tau_{tau}" / "metrics.txt").read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "tau_1.0", "tau_2.0"]
+
+    def test_rows_carry_the_spike_fit(self, tmp_path):
+        rows = sweep(_synthetic_config(tmp_path, method="fp"), "K", [64, 96])
+        table = list(csv.DictReader((tmp_path / "sweep.csv").read_text().splitlines()))
+        for row, line in zip(rows, table):
+            assert line["support_estimator"] == row["support_estimator"] in ("inband_l1", "grid")
+            assert float(line["fit_residual"]) == row["fit_residual"]
 
     def test_source_axis(self):
         rows = sweep(_synthetic_config(method="fp"), "seed", [1, 2])

@@ -371,6 +371,8 @@ class TestAmplitudesLs:
             (49, 0, 11, True),
             (72, 4, 12, True),
             (1024, 10, 256, False),  # M = K/4, the true support given
+            (2048, 10, 512, False),  # M = K/4
+            (1024, 5, 256, True),  # dense, with adjacent spikes
             (8192, 20, 16, False),
         ],
     )
@@ -431,8 +433,15 @@ class TestAmplitudesLs:
             amplitudes_ls(bins, 64, 31, [6, 25])  # one out-of-band bin n <= K/2
 
     def test_singular_gram_raises_value_error(self):
-        # a repeated index makes two equal rows; LinAlgError is a ValueError
+        # a repeated index leaves the amplitude fit no unique solution, and
+        # the low-pass fit off the support would not see it, so it is checked
+        # for; LinAlgError is a ValueError
         bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
         with pytest.raises(np.linalg.LinAlgError) as err:
             amplitudes_ls(bins, 64, 2, [6, 6])
         assert isinstance(err.value, ValueError)
+        # one index repeated inside a dense support, M = K/4
+        bins, k, _ = planted(1024, 10, 256, seed=1280)
+        k[101] = k[100]
+        with pytest.raises(np.linalg.LinAlgError):
+            amplitudes_ls(bins, 1024, 10, k)
