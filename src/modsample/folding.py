@@ -194,6 +194,8 @@ def choose_order(threshold: float, beta: float, T: float, Omega: float) -> int:
         )
     if beta < threshold:
         raise ValueError("beta must be >= threshold")
+    if rho == 0:  # a constant signal: its first difference vanishes
+        return 1
     n = int(np.ceil(np.log(threshold / beta) / np.log(rho) - 1e-12))
     return max(n, 1)
 

@@ -361,8 +361,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one experiment and write metrics / reconstruction / spectrum files.
 
     The metrics echo the config as given, plus the T, K and M the run
-    resolved; fp and both runs add the spike fit's fit_residual and
-    support_estimator (None when M = 0). Returns the metrics dict with
+    resolved; fp and both runs add the report's two diagnostics, the spike
+    fit's fit_residual and support_estimator (None when M = 0, where the
+    residual is that of no spikes). DR_ratio is None when the modulo
+    samples are constant (DR_y = 0). Returns the metrics dict with
     unformatted values. Files are written only after every metric is
     computed, to `cfg.output_dir` when it is set; if a write fails, the
     files this run began to write are removed, and those an earlier run
@@ -389,15 +391,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     )
     if truth is not None:
         metrics["DR_gamma"] = signal_model.dynamic_range(truth)
-        metrics["DR_ratio"] = metrics["DR_gamma"] / dr_y
+        # constant samples have no dynamic range, and their ratio is empty
+        metrics["DR_ratio"] = metrics["DR_gamma"] / dr_y if dr_y else None
 
     fp_report = None
     us_report = None
     if cfg.method in ("fp", "both"):
         fp_report = recovery.fourier_prony_recover(y, P_used, M)
-        # the spike fit's misfit and support estimator; empty when M = 0
-        for key in ("fit_residual", "support_estimator"):
-            metrics[key] = fp_report.diagnostics.get(key)
+        metrics.update(fp_report.diagnostics)  # fit_residual, support_estimator
         if truth is not None:
             metrics["MSE_FD"] = recovery.calibrated_mse(fp_report.gamma_hat.values, truth.values)
     if cfg.method in ("usf", "both"):

@@ -22,11 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import folding, spectral
-from .exceptions import (
-    FoldConsistencyError,
-    RecoveryError,
-    UndersampledError,
-)
+from .exceptions import FoldConsistencyError, RecoveryError
 from .signal_model import SampleVector
 
 _EULER = float(np.e)
@@ -124,8 +120,13 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
     where it is certified and else the Hankel grid search, and
     ``diagnostics["support_estimator"]`` names the estimator that found it
     (``"inband_l1"`` or ``"grid"``); see :func:`spectral.fit_spikes` for the
-    order and the certificate. A singular amplitude system on the grid's
-    support raises RecoveryError at step 4.
+    order and the certificate. At M = 0 the fit has no spikes: the support
+    is empty, the estimator None, and the residual is the norm of the
+    out-of-band bins n <= K/2. The fit also checks the setting: a negative
+    P or M raises ValueError, and K below 2(P+M+1) UndersampledError. A
+    numerical failure of the fit, such as a singular amplitude system on
+    the grid's support or non-finite samples, raises RecoveryError at
+    step 4.
 
     Parameters
     ----------
@@ -139,24 +140,6 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
         cancel.
     """
     K = y.grid.K
-    if M < 0:
-        raise ValueError("M must be nonnegative")
-    if K < 2 * (P + M + 1):
-        raise UndersampledError(
-            f"K={K} below the recovery bound 2(P+M+1)={2 * (P + M + 1)}"
-        )
-    diagnostics: dict = {"M": M}
-
-    if M == 0:
-        return RecoveryReport(
-            gamma_hat=y.with_values(y.values - np.mean(y.values)),
-            residue_hat=y.with_values(np.zeros(K)),
-            support=np.zeros(0, dtype=np.intp),
-            amplitudes=np.zeros(0),
-            method="fourier_prony",
-            diagnostics=diagnostics,
-        )
-
     # steps 1-3: the circular first difference confines the bandlimited part
     # exactly to 2P+1 DFT bins, so the out-of-band bins carry only the
     # (negated) spike spectrum. The differenced samples are real, so the
@@ -166,14 +149,12 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
     ybar = folding.finite_difference(y.values, 1, circular=True)
     half = np.fft.fft(ybar)[: K // 2 + 1]
 
-    # step 4: spike support and real amplitudes; a singular amplitude
-    # system on the grid's support raises LinAlgError, a ValueError
+    # step 4: spike support and real amplitudes. A bad setting raises its
+    # own error; a numerical failure of the fit raises LinAlgError
     try:
         k_hat, c_hat, residual, estimator = spectral.fit_spikes(half, K, P, M)
-    except ValueError as exc:
+    except np.linalg.LinAlgError as exc:
         raise RecoveryError(str(exc), step=4) from exc
-    diagnostics["support_estimator"] = estimator
-    diagnostics["fit_residual"] = residual
 
     # step 5: the differenced residue is c_hat at the support
     rbar_hat = np.zeros(K)
@@ -190,7 +171,7 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
         support=k_hat,
         amplitudes=c_hat,
         method="fourier_prony",
-        diagnostics=diagnostics,
+        diagnostics={"fit_residual": residual, "support_estimator": estimator},
     )
 
 

@@ -228,9 +228,17 @@ def fit_spikes(half, K: int, P: int, M: int):
     their support, their real amplitudes, the fit's residual and the name
     of the support estimator that found them.
 
-    `half` is as for :func:`grid_support`, and the amplitudes and residual
-    are those of :func:`amplitudes_ls` on the support. Two estimators can
-    give the support:
+    `half` is as for :func:`grid_support`. This is the one place that
+    checks the spike stage's setting: `half` must hold the K//2+1 bins and
+    P must be nonnegative (ValueError), M must be nonnegative (ValueError),
+    and K must reach the recovery bound 2(P+M+1) (UndersampledError), the
+    fewest samples that leave 2M+1 out-of-band bins.
+
+    M = 0 is the fit of no spikes: an empty support and empty amplitudes,
+    the residual ||half[P+1:]||, the misfit of zero spikes over the
+    out-of-band bins n <= K/2, and the estimator None. Otherwise the
+    amplitudes and residual are those of :func:`amplitudes_ls` on the
+    support, and two estimators can give the support:
 
     - ``"inband_l1"``, :func:`inband_support`, runs first where the Hankel
       width of :func:`grid_support` exceeds M+1, that is where the
@@ -250,18 +258,27 @@ def fit_spikes(half, K: int, P: int, M: int):
     there the order only saves time: an l1 step costs a few length-K FFTs,
     against a QR and an SVD of a matrix up to 2M wide. Where the grid's
     support is wrong, as on some dense folds, a certified l1 support is
-    still the true one. A singular amplitude system on the grid's support
-    raises LinAlgError, a ValueError.
+    still the true one. A numerical failure of the fit, such as a singular
+    amplitude system on the grid's support or non-finite bins, raises
+    LinAlgError.
 
     Returns (support, amplitudes, residual, estimator).
     """
+    half = _half_spectrum(half, K, P)
+    if M < 0:
+        raise ValueError("M must be nonnegative")
+    if K < 2 * (P + M + 1):
+        raise UndersampledError(f"K={K} below the recovery bound 2(P+M+1)={2 * (P + M + 1)}")
+    out_of_band = np.linalg.norm(half[P + 1 :])
+    if M == 0:
+        return np.zeros(0, np.intp), np.zeros(0), float(out_of_band), None
     if _width(K - 2 * P - 1, M) > M + 1:
         try:
             k = inband_support(half, K, P, M)
             c, residual = amplitudes_ls(half, K, P, k)
         except np.linalg.LinAlgError:
             residual = np.inf
-        if residual <= 1e-9 * np.linalg.norm(half[P + 1 :]):
+        if residual <= 1e-9 * out_of_band:
             return k, c, residual, "inband_l1"
     k = grid_support(half, K, P, M)
     return (k, *amplitudes_ls(half, K, P, k), "grid")

@@ -355,6 +355,20 @@ class TestRecover:
             )
             assert float(metrics["MSE_FD"]) <= 1e-25
 
+    def test_constant_capture_recovers_with_both_methods(self, tmp_path):
+        # P = 0 samples are constant: DR_y = 0 leaves DR_ratio empty, and
+        # the baseline takes order 1 without a log of T*Omega*e = 0
+        assert main(["simulate", "--tau", "1", "--K", "64", "--P", "0", "--lambda", "1",
+                     "--amplitude", "0.5", "--seed", "1",
+                     "--output-dir", str(tmp_path / "p0")]) == 0
+        rec = tmp_path / "rec"
+        assert main(["recover", "--input", str(tmp_path / "p0" / "capture.csv"),
+                     "--P", "0", "--lambda", "1", "--method", "both",
+                     "--output-dir", str(rec)]) == 0
+        lines = (rec / "metrics.txt").read_text().splitlines()
+        assert "DR_y = 0.0" in lines and "DR_ratio = " in lines
+        assert "MSE_FD = 0.0" in lines and "MSE_US = 0.0" in lines
+
     def test_impossible_m_is_recovery_failure(self, tmp_path):
         capture = _simulate(tmp_path)
         code = main(

@@ -367,6 +367,11 @@ class TestChooseOrder:
         assert choose_order(1.0, 4.0, T_half, Omega) == 2
         assert choose_order(1.0, 2.0, T_half, Omega) == 1
 
+    def test_zero_bandwidth_takes_the_first_difference(self):
+        # Omega = 0: a constant signal's first difference vanishes, and the
+        # rule takes no log of T*Omega*e = 0
+        assert choose_order(1.0, 2.0, 0.1, 0.0) == 1
+
     def test_insufficient_oversampling(self):
         with pytest.raises(OversamplingInsufficientError):
             choose_order(1.0, 4.0, 1.0 / np.e, 1.0)

@@ -113,6 +113,24 @@ def test_baseline_rate_recipe(readme_runs):
             assert row.get("US_error", "") == "" and float(row["MSE_US"]) <= 1e-20, row
 
 
+def test_fold_count_recipe(readme_runs):
+    root, _ = readme_runs
+    rows = _sweep_rows(root, "fold_count")
+    assert sorted(rows) == [0, 29, 30]
+    assert [rows[M]["error"] for M in (0, 29, 30)] == ["", "", ""]
+    residual = {M: float(row["fit_residual"]) for M, row in rows.items()}
+    mse = {M: float(row["MSE_FD"]) for M, row in rows.items()}
+    # each stated figure, to half a unit in its last digit
+    assert residual[0] == pytest.approx(57.7, abs=0.05)
+    assert residual[29] == pytest.approx(20.9, abs=0.05)
+    assert residual[30] <= 1e-12
+    assert mse[0] == pytest.approx(2.48, abs=0.005)
+    assert mse[29] == pytest.approx(3.25, abs=0.005)
+    assert mse[30] <= 1e-29
+    # no spikes are fitted at M = 0, so only its estimator is empty
+    assert [rows[M]["support_estimator"] for M in (0, 29, 30)] == ["", "grid", "inband_l1"]
+
+
 def test_default_p_inflation_recipe(readme_runs):
     root, _ = readme_runs
     lines = (root / "out" / "rec_default" / "metrics.txt").read_text().splitlines()

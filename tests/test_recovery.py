@@ -132,6 +132,12 @@ class TestFourierPronyRecover:
             report.gamma_hat.values, y.values - np.mean(y.values), atol=1e-12
         )
         assert report.support.size == report.amplitudes.size == 0
+        # the fit of no spikes leaves the out-of-band bins as its misfit
+        half = np.fft.fft(finite_difference(y.values, 1, circular=True))[:9]
+        assert report.diagnostics == {
+            "fit_residual": float(np.linalg.norm(half[3:])),
+            "support_estimator": None,
+        }
 
     @pytest.mark.parametrize("estimator", ["prony", "pencil"])
     def test_ideal_folds_exact(self, estimator):
@@ -196,6 +202,12 @@ class TestFourierPronyRecover:
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
             fourier_prony_recover(_sv(np.zeros(8)), 1, -1)
+
+    @pytest.mark.parametrize("M", [0, 2])
+    def test_negative_p_is_a_value_error_not_a_recovery_failure(self, M):
+        # RecoveryError is a RuntimeError, not a ValueError
+        with pytest.raises(ValueError, match="P must be nonnegative"):
+            fourier_prony_recover(_sv(np.zeros(16)), -1, M)
 
     def test_error_carries_step(self):
         trial = fixpoint_trial(seed=17, P=5, amplitude=4.5)

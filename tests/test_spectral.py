@@ -13,6 +13,7 @@ from modsample import (
     UniformGrid,
     amplitudes_ls,
     finite_difference,
+    fit_spikes,
     fourier_prony_recover,
     grid_support,
     inband_support,
@@ -445,3 +446,31 @@ class TestAmplitudesLs:
         k[101] = k[100]
         with pytest.raises(np.linalg.LinAlgError):
             amplitudes_ls(bins, 1024, 10, k)
+
+
+class TestFitSpikes:
+    """fit_spikes owns the spike stage's setting: P and M nonnegative and
+    K >= 2(P+M+1), with M = 0 the fit of no spikes."""
+
+    def test_no_spikes_leave_the_out_of_band_bins_as_residual(self):
+        bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
+        k, c, residual, estimator = fit_spikes(bins, 64, 2, 0)
+        assert k.dtype == np.intp and k.size == 0 and c.size == 0
+        assert residual == np.linalg.norm(bins[3:]) and isinstance(residual, float)
+        assert estimator is None
+
+    @pytest.mark.parametrize("K, P, M", [(64, 2, 30), (64, 31, 1), (5, 2, 0), (63, 31, 0)])
+    def test_below_the_recovery_bound(self, K, P, M):
+        # K = 2P+1 is one sample short of the bound even with no spikes
+        bins = differenced_bins([1], [1.0], K, min(P, K // 2))
+        with pytest.raises(UndersampledError, match="below the recovery bound"):
+            fit_spikes(bins, K, P, M)
+
+    def test_negative_counts_are_value_errors(self):
+        bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
+        with pytest.raises(ValueError, match="M must be nonnegative"):
+            fit_spikes(bins, 64, 2, -1)
+        with pytest.raises(ValueError, match="P must be nonnegative"):
+            fit_spikes(bins, 64, -1, 2)
+        with pytest.raises(ValueError, match="has 33 bins, got 32"):
+            fit_spikes(bins[:-1], 64, 2, 2)
