@@ -11,7 +11,10 @@ least-squares fit over the out-of-band bins that the time-domain low-pass
 fit of :func:`modsample.spectral.amplitudes_ls` replaced. :func:`usf_recover`
 and :func:`optimize_lambda` are the baseline unfolding one threshold at a
 time and its per-threshold grid search, which the threshold-batched kernel
-of :mod:`modsample.recovery` replaced.
+of :mod:`modsample.recovery` replaced. :func:`on_grid` and
+:func:`synthesize_random` evaluate a polynomial through a full N-bin
+spectrum filled by ``np.add.at``, as :mod:`modsample.signal_model` did
+before it passed only the nonnegative bins to the inverse FFT.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from modsample import (
     RecoveryError,
     RecoveryReport,
     SampleVector,
+    TrigPolynomial,
     UndersampledError,
     calibrated_mse,
     folding,
@@ -292,3 +296,33 @@ def optimize_lambda(
     report.diagnostics["lambda_opt"] = lam_opt
     report.diagnostics["lambda_opt_mse"] = err
     return lam_opt, replace(report, method="usf_opt")
+
+
+def on_grid(g: TrigPolynomial, N: int) -> np.ndarray:
+    """g at the N points k*tau/N from the N-bin spectrum of its coefficients
+    placed at bins p mod N, added with ``np.add.at``: the oracle of
+    :func:`modsample.signal_model._on_grid`."""
+    c = g.coeffs
+    if 0.5 * np.sum(np.abs(c - np.conj(c[::-1]))) > 1e-9 * np.sum(np.abs(c)) + 1e-12:
+        raise AssertionError("coefficients would give a non-negligible imaginary part")
+    spec = np.zeros(N, dtype=complex)
+    np.add.at(spec, np.arange(-g.P, g.P + 1) % N, c)
+    return np.fft.irfft(spec[: N // 2 + 1], n=N) * N
+
+
+def synthesize_random(P: int, tau: float, amplitude: float, seed) -> TrigPolynomial:
+    """The random polynomial of :func:`modsample.synthesize_random`, scaled
+    by the peak of the full-scale samples of :func:`on_grid` on the
+    16384-point grid."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(2 * P + 1, dtype=complex)
+    coeffs[P] = rng.standard_normal()
+    if P > 0:
+        pos = rng.standard_normal(P) + 1j * rng.standard_normal(P)
+        coeffs[P + 1 :] = pos
+        coeffs[:P] = np.conj(pos[::-1])
+    if not np.any(np.abs(coeffs) > 0):
+        coeffs[P] = 1.0
+    g = TrigPolynomial(tau=tau, P=P, coeffs=coeffs)
+    peak = np.max(np.abs(on_grid(g, 16384)))
+    return TrigPolynomial(tau=tau, P=P, coeffs=coeffs * (amplitude / peak))

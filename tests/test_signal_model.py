@@ -1,6 +1,10 @@
 """Unit tests for the bandlimited-signal model: synthesis, evaluation,
 sampling, quantization and dynamic range."""
 
+import tracemalloc
+import warnings
+
+import _reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,8 @@ from modsample import (
 )
 from modsample.signal_model import _MAX_EST_GRID
 
+NUMPY_2 = int(np.__version__.split(".")[0]) >= 2
+
 
 def cosine_signal(tau=1.0):
     """g(t) = cos(2*pi*t/tau) as a trig polynomial."""
@@ -34,6 +40,61 @@ class TestTrigPolynomial:
             TrigPolynomial(tau=1.0, P=1, coeffs=np.zeros(4))
         with pytest.raises(ValueError):  # breaks Hermitian symmetry
             TrigPolynomial(tau=1.0, P=1, coeffs=np.array([1j, 0.0, 1j]))
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            TrigPolynomial(tau=tau, P=1, coeffs=np.array([0.5, 0.0, 0.5]))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [np.inf, 0.0, np.inf],  # was accepted, with an inf tolerance
+            [np.nan, 0.0, np.nan],  # was "must be Hermitian symmetric"
+            [0.5, complex(0.0, np.inf), 0.5],
+            [complex(0.5, np.nan), 0.0, complex(0.5, np.nan)],
+        ],
+    )
+    def test_non_finite_coeffs(self, coeffs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="coeffs must be finite"):
+                TrigPolynomial(tau=1.0, P=1, coeffs=coeffs)
+
+    def test_symmetry_check_is_allclose(self):
+        # the written-out comparison accepts exactly what np.allclose with
+        # atol = 1e-12 * max(max|c|, 1) accepts, near both tolerances
+        rng = np.random.default_rng(0)
+        decided = set()
+        for trial in range(600):
+            P = 1 + trial % 4
+            pos = rng.standard_normal(P) + 1j * rng.standard_normal(P)
+            pos *= 10.0 ** rng.uniform(-14, 2)
+            c = np.concatenate([np.conj(pos[::-1]), [rng.standard_normal()], pos])
+            p = int(rng.integers(2 * P + 1))
+            size = 10.0 ** rng.uniform(-14, -3)
+            c[p] += size * max(abs(c[p]), 1e-12) * np.exp(2j * np.pi * rng.uniform())
+            accepted = bool(np.allclose(
+                c[::-1], np.conj(c), atol=1e-12 * max(np.max(np.abs(c)), 1.0)
+            ))
+            decided.add(accepted)
+            try:
+                TrigPolynomial(tau=1.0, P=P, coeffs=c)
+            except ValueError as exc:
+                assert not accepted and "Hermitian" in str(exc)
+            else:
+                assert accepted
+        assert decided == {True, False}
+
+    def test_coeffs_are_a_read_only_copy(self):
+        c = np.array([0.5, 0.0, 0.5], dtype=complex)
+        g = TrigPolynomial(tau=1.0, P=1, coeffs=c)
+        c[0] = 7.0
+        assert g.coeffs[0] == 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            g.coeffs[0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            synthesize_random(P=3, tau=1.0, amplitude=1.0, seed=0).coeffs *= 2.0
 
     def test_frequencies(self):
         g = cosine_signal(tau=2.0)
@@ -74,6 +135,84 @@ class TestSynthesizeRandom:
                 synthesize_random(P=1, tau=bad, amplitude=1.0, seed=0)
             with pytest.raises(ValueError, match="amplitude must be finite and positive"):
                 synthesize_random(P=1, tau=1.0, amplitude=bad, seed=0)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# P up to 1000 and K from 1 to 4097, including the aliased K <= 2P, the
+# even K = 2P whose Nyquist bin holds harmonics +-P, and K = 2P+1
+BITWISE_P = [*range(41), 63, 100, 257, 1000]
+
+
+def _bitwise_K(P):
+    near = [2 * P - 1, 2 * P, 2 * P + 1, 2 * P + 2, 2 * P + 3]
+    return sorted({K for K in [1, 2, 3, 4, 5, 64, 1024, 4096, 4097, *near] if K >= 1})
+
+
+class TestBitwiseReference:
+    """Synthesis and sampling give the bits of the N-bin ``np.add.at``
+    spectrum of :mod:`_reference`."""
+
+    @pytest.mark.parametrize("P", BITWISE_P)
+    def test_synthesis_and_samples(self, P):
+        for seed in (P, [7, P], [P, 2, 5]):
+            g = synthesize_random(P=P, tau=1.0, amplitude=4.0, seed=seed)
+            ref = _reference.synthesize_random(P, 1.0, 4.0, seed)
+            assert _same_bits(g.coeffs, ref.coeffs)
+            for K in _bitwise_K(P):
+                values = sample(g, UniformGrid(T=1.0 / K, K=K)).values
+                assert _same_bits(values, _reference.on_grid(ref, K)), (seed, K)
+
+    def test_negative_zero_coefficients(self):
+        # -0.0 in bins 0..P: adding it to an empty bin gives +0.0
+        nz = -0.0
+        pos = [complex(nz, nz), 1.0 + 2.0j, complex(0.5, nz), complex(nz, 0.25)]
+        c = np.array([*np.conj(pos[::-1]), complex(nz, 0.0), *pos])
+        g = TrigPolynomial(tau=1.0, P=4, coeffs=c)
+        assert np.signbit(g.coeffs.real[4])
+        for K in [*range(1, 12), 16, 64, 4096]:
+            values = sample(g, UniformGrid(T=1.0 / K, K=K)).values
+            assert _same_bits(values, _reference.on_grid(g, K)), K
+        g0 = TrigPolynomial(tau=1.0, P=0, coeffs=np.array([complex(nz, nz)]))
+        for K in (1, 2, 3, 8):
+            values = sample(g0, UniformGrid(T=1.0 / K, K=K)).values
+            assert _same_bits(values, _reference.on_grid(g0, K)), K
+
+
+def _traced_peak(fn):
+    """Peak bytes traced by tracemalloc during one call of fn, after a
+    warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocations:
+    """Traced allocation peaks (no timing). On numpy >= 2 the inverse FFT
+    zero-pads the P+1 nonnegative bins inside its output, so one call holds
+    at most two N-point float arrays. numpy 1.x pads its input to N complex
+    bins (16 N bytes) in Python, next to the 8 N-byte output: three N-point
+    float arrays' worth."""
+
+    arrays = 2 if NUMPY_2 else 3
+
+    def test_synthesize_random_peak(self):
+        N = _MAX_EST_GRID
+        peak = _traced_peak(lambda: synthesize_random(P=15, tau=1.0, amplitude=4.0, seed=3))
+        assert peak <= self.arrays * 8 * N + 4096, peak
+
+    def test_sample_peak(self):
+        K = 1024
+        g = synthesize_random(P=15, tau=1.0, amplitude=4.0, seed=3)
+        grid = UniformGrid(T=1.0 / K, K=K)
+        peak = _traced_peak(lambda: sample(g, grid))
+        assert peak <= self.arrays * 8 * K + 4096, peak
 
 
 class TestEvaluate:
@@ -129,9 +268,25 @@ class TestSample:
 
     def test_imaginary_part_guard(self):
         g = cosine_signal()
+        sample(g, UniformGrid(T=0.25, K=4))  # the checked array is remembered
         object.__setattr__(g, "coeffs", np.array([0.5, 0.0, 0.5 + 0.5j]))
         with pytest.raises(AssertionError, match="imaginary part"):
             sample(g, UniformGrid(T=0.25, K=4))
+
+    def test_imaginary_part_guard_at_construction(self):
+        # symmetric to np.allclose's 1e-5, but not to the 1e-9 that the
+        # real part of an inverse FFT needs
+        g = TrigPolynomial(tau=1.0, P=1, coeffs=np.array([0.5, 0.0, 0.5 + 1e-7j]))
+        with pytest.raises(AssertionError, match="imaginary part"):
+            sample(g, UniformGrid(T=0.25, K=4))
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf])
+    def test_non_finite_step(self, T):
+        # a NaN step passed the span check, since abs(nan - tau) > tol is False
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            UniformGrid(T=T, K=4)
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            sample(cosine_signal(), UniformGrid(T=T, K=4))
 
 
 def _sv(values):
