@@ -200,7 +200,8 @@ def choose_order(threshold: float, beta: float, T: float, Omega: float) -> int:
     return max(n, 1)
 
 
-def round_beta(gamma_inf: float, threshold: float) -> float:
+def round_beta(gamma_inf: float, threshold):
     """Round a max-norm bound up to the nearest positive multiple of
-    2*threshold, as the order rule requires."""
-    return 2.0 * threshold * max(1.0, np.ceil(gamma_inf / (2.0 * threshold)))
+    2*threshold, as the order rule requires. The threshold may be an array
+    of thresholds; a NaN multiple counts as one step."""
+    return 2.0 * threshold * np.fmax(1.0, np.ceil(gamma_inf / (2.0 * threshold)))

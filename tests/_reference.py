@@ -203,9 +203,9 @@ def usf_recover(
     keeps small for genuine signals; beta bounds max|gamma| (see
     `folding.round_beta`).
 
-    With `strict`, a stage whose best constant still violates that bound
-    raises FoldConsistencyError: the data is inconsistent with ideal
-    2*threshold folds.
+    With `strict`, a stage whose best constant still violates that bound,
+    or whose norm is NaN, raises FoldConsistencyError: the data is
+    inconsistent with ideal 2*threshold folds.
     """
     T = y.grid.T
     rho = T * Omega * _EULER
@@ -239,7 +239,7 @@ def usf_recover(
         stage_bound = rho ** (n - 1) * beta
         stage_norm = float(np.max(np.abs(dy + rho_n)))
         diagnostics[f"stage_{n - 1}_excess"] = stage_norm - stage_bound
-        if strict and stage_norm > stage_bound + bound_slack:
+        if strict and not stage_norm <= stage_bound + bound_slack:
             raise FoldConsistencyError(
                 f"stage {n - 1}: reconstructed difference norm {stage_norm:.6g} "
                 f"exceeds the bandlimited bound {stage_bound:.6g}; data is "
@@ -268,7 +268,9 @@ def optimize_lambda(
 ):
     """Grid search for the folding threshold minimizing the calibrated MSE of
     the baseline reconstruction against a reference; ties break toward the
-    smallest threshold. Returns the threshold and its zero-mean report."""
+    smallest threshold. A threshold whose run overflows to a non-finite
+    score fails like one whose run raises. Returns the threshold and its
+    zero-mean report."""
     if lo <= 0 or hi < lo or step <= 0:
         raise ValueError("need 0 < lo <= hi and step > 0")
     if gamma_ref.grid != y.grid:
@@ -281,11 +283,15 @@ def optimize_lambda(
             beta = folding.round_beta(
                 float(np.max(np.abs(gamma_ref.values))), lam
             )
-            report = usf_recover(y, lam, Omega, beta, N=N, strict=False)
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = usf_recover(y, lam, Omega, beta, N=N, strict=False)
+                err = calibrated_mse(report.gamma_hat.values, gamma_ref.values)
         except Exception as exc:  # record and keep scanning
             errors.append((float(lam), str(exc)))
             continue
-        err = calibrated_mse(report.gamma_hat.values, gamma_ref.values)
+        if not np.isfinite(err):
+            errors.append((float(lam), f"non-finite calibrated MSE {err}"))
+            continue
         if best is None or err < best[1] - 1e-15:
             best = (float(lam), err, report)
     if best is None:

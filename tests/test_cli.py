@@ -2,6 +2,7 @@
 (0 success, 2 argument/config, 3 recovery failure, 4 I/O)."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -244,6 +245,22 @@ class TestRecover:
         assert code == 0
         metrics = (out / "metrics.txt").read_text()
         assert "lambda_opt" in metrics
+
+    def test_lambda_grid_skips_thresholds_that_overflow(self, tmp_path):
+        # T*Omega*e = 0.984: the unfolding overflows up to lambda = 1.45, to
+        # NaN at 0.05, and the search returns the least finite score
+        out = tmp_path / "sim"
+        assert main(["simulate", "--tau", "1", "--K", "1024", "--P", "59", "--lambda", "1",
+                     "--amplitude", "3", "--seed", "0", "--output-dir", str(out)]) == 0
+        rec = tmp_path / "rec"
+        assert main(["recover", "--input", str(out / "capture.csv"), "--P", "59",
+                     "--lambda", "1", "--method", "usf", "--lambda-grid", "0.05:3:0.05",
+                     "--p-inflation", "0", "--output-dir", str(rec)]) == 0
+        metrics = dict(line.split(" = ", 1)
+                       for line in (rec / "metrics.txt").read_text().splitlines())
+        assert metrics["lambda_opt"] == "2.25"
+        assert math.isfinite(float(metrics["MSE_USopt"]))
+        assert "USopt_error" not in metrics
 
     def test_default_p_inflation_logged(self, tmp_path):
         # captures default to +20% bandwidth headroom, echoed in the metrics

@@ -3,6 +3,7 @@ metrics emission and parameter sweeps."""
 
 import csv
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -730,6 +731,58 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert list(tmp_path.iterdir()) == []
 
+    def test_outputs_replace_longer_files(self, tmp_path):
+        # each output is a new file: a longer old file is gone, not truncated
+        # and rewritten, so a hard link to it keeps the old bytes
+        fresh = tmp_path / "fresh"
+        run_experiment(_synthetic_config(fresh))
+        out = tmp_path / "out"
+        out.mkdir()
+        names = ("metrics.txt", "reconstruction.csv", "spectrum.csv")
+        for name in names:
+            (out / name).write_bytes(b"x" * (2 * len((fresh / name).read_bytes())))
+            os.link(out / name, tmp_path / f"old_{name}")
+        run_experiment(_synthetic_config(out))
+        for name in names:
+            new = (out / name).read_bytes()
+            if name == "metrics.txt":  # it echoes the output directory
+                new = new.replace(str(out).encode(), str(fresh).encode())
+            assert new == (fresh / name).read_bytes()
+            assert (tmp_path / f"old_{name}").read_bytes() == b"x" * (2 * len(new))
+
+    def test_symlinked_output_is_written_through(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        target = tmp_path / "target.csv"
+        target.write_text("old " * 100_000)
+        (out / "spectrum.csv").symlink_to(target)
+        run_experiment(_synthetic_config(out))
+        assert (out / "spectrum.csv").is_symlink()
+        assert target.read_text().startswith("n,abs_ybar_dft,abs_residue_model_dft\n")
+        fresh = tmp_path / "fresh"
+        run_experiment(_synthetic_config(fresh))
+        assert target.read_bytes() == (fresh / "spectrum.csv").read_bytes()
+
+    def test_failure_mid_write_keeps_the_files_it_did_not_begin(self, tmp_path, monkeypatch):
+        # an earlier run's outputs; the next run fails halfway through its
+        # reconstruction table, so the metrics it wrote and the table go,
+        # and the earlier spectrum stays as it was
+        run_experiment(_synthetic_config(tmp_path))
+        spectrum = (tmp_path / "spectrum.csv").read_bytes()
+        write_table = harness._write_table
+
+        def fail(path, columns, metadata=None):
+            if Path(path).name == "reconstruction.csv":
+                Path(path).write_text("k,t\n0,")
+                raise OSError("disk full")
+            write_table(path, columns, metadata)
+
+        monkeypatch.setattr(harness, "_write_table", fail)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(_synthetic_config(tmp_path))
+        assert [p.name for p in tmp_path.iterdir()] == ["spectrum.csv"]
+        assert (tmp_path / "spectrum.csv").read_bytes() == spectrum
+
     @pytest.mark.parametrize("method", ["fp", "both", "usf"])
     def test_metrics_record_the_spike_fit(self, tmp_path, method):
         # fp and both runs write the fit's residual and support estimator as
@@ -778,6 +831,14 @@ class TestSweep:
         assert rows[1]["error"] == "" and rows[2]["error"] == ""
         assert float(rows[2]["MSE_FD"]) < 1e-10
         assert (tmp_path / "sweep.csv").exists()
+
+    def test_table_replaces_a_longer_file(self, tmp_path):
+        (tmp_path / "sweep.csv").write_text("stale\n" * 10_000)
+        os.link(tmp_path / "sweep.csv", tmp_path / "old.csv")
+        sweep(_synthetic_config(tmp_path, method="fp"), "K", [64])
+        text = (tmp_path / "sweep.csv").read_text()
+        assert text.startswith("axis,value,error") and "stale" not in text
+        assert (tmp_path / "old.csv").read_text() == "stale\n" * 10_000
 
     def test_each_run_writes_under_the_config_output_dir(self, tmp_path):
         # a library sweep whose only directory is the config's gives each

@@ -40,18 +40,32 @@ def _measurement(K, kind, seed=7, amplitude=4.0):
     return gamma, y, 2.0 * np.pi * P
 
 
-def _oracle_scores(y, gamma, Omega, grid):
-    """Per-threshold calibrated MSE of the oracle, NaN where it fails."""
+def _oracle_grid(y, gamma, Omega, grid):
+    """The oracle's loop over the grid: per threshold its calibrated MSE (NaN
+    where it raises), its beta, and {grid index: error text} of the
+    thresholds that raise or score non-finite, as its optimize_lambda
+    records them."""
     gamma_inf = float(np.max(np.abs(gamma.values)))
     out = np.full(len(grid), np.nan)
+    betas = np.full(len(grid), np.nan)
+    failed = {}
     for i, lam in enumerate(grid):
         try:
-            beta = round_beta(gamma_inf, lam)
-            report = _reference.usf_recover(y, lam, Omega, beta, strict=False)
-        except Exception:
+            betas[i] = round_beta(gamma_inf, lam)
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = _reference.usf_recover(y, lam, Omega, betas[i], strict=False)
+                out[i] = calibrated_mse(report.gamma_hat.values, gamma.values)
+        except Exception as exc:
+            failed[i] = str(exc)
             continue
-        out[i] = calibrated_mse(report.gamma_hat.values, gamma.values)
-    return out
+        if not np.isfinite(out[i]):
+            failed[i] = f"non-finite calibrated MSE {out[i]}"
+    return out, betas, failed
+
+
+def _oracle_scores(y, gamma, Omega, grid):
+    """Per-threshold calibrated MSE of the oracle, NaN where it fails."""
+    return _oracle_grid(y, gamma, Omega, grid)[0]
 
 
 def _assert_same_search(y, gamma, Omega, lo, hi, step):
@@ -59,8 +73,9 @@ def _assert_same_search(y, gamma, Omega, lo, hi, step):
     lam_ref, report_ref = _reference.optimize_lambda(y, gamma, Omega, lo, hi, step)
     assert lam == lam_ref
     assert report.method == report_ref.method == "usf_opt"
-    np.testing.assert_array_equal(report.gamma_hat.values, report_ref.gamma_hat.values)
-    np.testing.assert_array_equal(report.residue_hat.values, report_ref.residue_hat.values)
+    # bit for bit, the signs of zero included
+    assert report.gamma_hat.values.tobytes() == report_ref.gamma_hat.values.tobytes()
+    assert report.residue_hat.values.tobytes() == report_ref.residue_hat.values.tobytes()
     assert report.diagnostics == report_ref.diagnostics
 
 
@@ -227,18 +242,47 @@ def test_strict_check_at_the_bound(amplitude, N):
 
 
 def test_one_row_and_batch_agree():
-    # the kernel's rows do not depend on which other thresholds share the batch
+    # the kernel's rows do not depend on which other thresholds share the
+    # batch, and the rows of its integer path hold the float ladder's values
     gamma, y, Omega = _measurement(256, "8-bit")
     N = 2
     diffs = recovery._difference_ladder(y.values, N)
     grid = np.arange(0.55, 1.45 + 0.005, 0.01)
-    residue, raw, snap, norms = recovery._unfold(diffs, grid[:, None])
+    assert recovery._counts_exact(diffs, grid.min())
+    batch = recovery._unfold(diffs, grid[:, None])
+    assert batch[2] is None and batch[3] is None
+    batch_stats = recovery._unfold(diffs, grid[:, None], stats=True)
     for r, lam in enumerate(grid):
-        one = recovery._unfold(diffs, np.full((1, 1), lam))
-        np.testing.assert_array_equal(residue[r], one[0][0])
-        np.testing.assert_array_equal(raw[r], one[1][0])
-        assert snap[r] == one[2][0]
-        np.testing.assert_array_equal(norms[r], one[3][0])
+        one = recovery._unfold(diffs, np.full((1, 1), lam), stats=True)
+        for rows in (batch, batch_stats):
+            np.testing.assert_array_equal(rows[0][r], one[0][0])
+            np.testing.assert_array_equal(rows[1][r], one[1][0])
+        assert batch_stats[2][r] == one[2][0]
+        np.testing.assert_array_equal(batch_stats[3][r], one[3][0])
+
+
+def test_integer_counts_hold_the_float_ladder_values_at_every_scale():
+    # noise plus a ramp and a parabola, each up to 1e18 times the
+    # threshold: where the guard holds, the integer path gives the float
+    # ladder's values, and toward the top of the scale the guard sends the
+    # rows to the float ladder. A steep ramp has small top counts but a
+    # large kappa; a parabola has large equal counts that sum up
+    rng = np.random.default_rng(31)
+    sides = set()
+    for _ in range(600):
+        K = int(rng.integers(2, 65))
+        N = int(rng.integers(1, min(4, K - 1) + 1))
+        k = np.arange(K)
+        scale = 10.0 ** rng.uniform(0, 18, size=3) * (rng.random(3) < [1.0, 0.5, 0.5])
+        values = rng.standard_normal(K) * scale[0] + scale[1] * k + scale[2] * k * k
+        diffs = recovery._difference_ladder(values, N)
+        lam = np.exp(rng.uniform(-1, 1, size=(3, 1)))
+        sides.add(recovery._counts_exact(diffs, lam.min()))
+        ours = recovery._unfold(diffs, lam)
+        ladder = recovery._unfold(diffs, lam, stats=True)
+        np.testing.assert_array_equal(ours[0], ladder[0])
+        np.testing.assert_array_equal(ours[1], ladder[1])
+    assert sides == {True, False}
 
 
 def test_difference_ladder_matches_direct_differences():
@@ -257,3 +301,189 @@ def test_difference_ladder_matches_direct_differences():
     with pytest.raises(ValueError) as direct:
         finite_difference(y, N)
     assert str(ours.value) == str(direct.value)
+
+
+# -- random draws against the oracle -----------------------------------------
+
+_DRAW_KINDS = {
+    "noiseless": {},
+    "8-bit": {"bits": 8},
+    "non-ideal": {"nonideality": NonIdealityConfig(delay_max_samples=2, threshold_jitter=0.05,
+                                                   spurious_rate=2.0, spurious_amp_max=0.5)},
+}
+
+
+def _draw(rng):
+    """One seeded draw: (y, gamma, Omega, lo, hi, step). K runs from 16 to
+    8192, the amplitude from 0.6 to 1000, and T*Omega*e is either the
+    rule's own, below 1 with P <= 64, or 0.97 with K <= 128. The oracle
+    takes each order's differences from the samples anew, so the caps on P
+    and K keep its high orders cheap. The grid is a stretch of 0.2:2.0 at
+    a step of 0.01 to 0.2."""
+    near_critical = rng.random() < 0.3
+    K = int(2 ** rng.integers(4, 8 if near_critical else 14))
+    P = int(rng.integers(0, min(int(K / (2 * np.pi * np.e) - 1e-9), 64) + 1))
+    amplitude = float(np.exp(rng.uniform(np.log(0.6), np.log(1000.0))))
+    src = harness.SyntheticSource(P=P, tau=1.0, K=K, amplitude=amplitude,
+                                  seed=int(rng.integers(2**31)), threshold=1.0,
+                                  **_DRAW_KINDS[list(_DRAW_KINDS)[rng.integers(3)]])
+    gamma, y, _ = harness.synthesize_measurement(src)
+    Omega = 0.97 / (y.grid.T * np.e) if near_critical else 2.0 * np.pi * P
+    step = float(rng.choice([0.01, 0.05, 0.1, 0.2]))
+    n = int(rng.integers(1, 16 if K <= 256 and not near_critical else 6 if K <= 1024 else 4))
+    lo = round(0.2 + 0.01 * int(rng.integers(0, 181)), 2)
+    hi = round(min(2.0, lo + step * (n - 1)), 2)
+    return y, gamma, Omega, lo, hi, step
+
+
+def test_random_draws_match_the_oracle_bitwise(monkeypatch):
+    # the grid's scores, betas and failure texts, the search's optimum and
+    # report, and one-threshold runs, strict or not, all as the oracle's
+    guard = []
+
+    def recording(diffs, lam):
+        guard.append(exact(diffs, lam))
+        return guard[-1]
+
+    exact = recovery._counts_exact
+    monkeypatch.setattr(recovery, "_counts_exact", recording)
+    rng = np.random.default_rng(2027)
+    non_finite = 0
+    for _ in range(500):
+        y, gamma, Omega, lo, hi, step = _draw(rng)
+        grid = np.arange(lo, hi + 0.5 * step, step)
+        mse_of, betas, failed = recovery._grid_mse(y, gamma, Omega, grid)
+        oracle, oracle_betas, oracle_failed = _oracle_grid(y, gamma, Omega, grid)
+        np.testing.assert_array_equal(mse_of, oracle)
+        assert failed == oracle_failed
+        ok = [i for i in range(len(grid)) if i not in failed]
+        np.testing.assert_array_equal(betas[ok], oracle_betas[ok])
+        non_finite += sum("non-finite" in text for text in failed.values())
+        if not ok:
+            with pytest.raises(RecoveryError) as ours:
+                optimize_lambda(y, gamma, Omega, lo, hi, step)
+            with pytest.raises(RecoveryError) as oracle_error:
+                _reference.optimize_lambda(y, gamma, Omega, lo, hi, step)
+            assert str(ours.value) == str(oracle_error.value)
+            continue
+        _assert_same_search(y, gamma, Omega, lo, hi, step)
+        lam, beta = grid[ok[0]], betas[ok[0]]
+        for strict in (False, True):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected = _reference.usf_recover(y, lam, Omega, beta, strict=strict)
+            except FoldConsistencyError as exc:
+                with pytest.raises(FoldConsistencyError) as ours:
+                    usf_recover(y, lam, Omega, beta, strict=strict)
+                assert str(ours.value) == str(exc)
+                continue
+            report = usf_recover(y, lam, Omega, beta, strict=strict)
+            assert report.diagnostics == expected.diagnostics
+            assert report.gamma_hat.values.tobytes() == expected.gamma_hat.values.tobytes()
+            assert report.residue_hat.values.tobytes() == expected.residue_hat.values.tobytes()
+    # the draws take both sides of the exactness guard, and some overflow
+    assert guard.count(True) >= 100 and guard.count(False) >= 50, (guard.count(True), guard.count(False))
+    assert non_finite >= 10
+
+
+def _scalar_rule(y, grid, gamma_inf, Omega):
+    """round_beta and the order rule one threshold at a time; beta is NaN
+    where round_beta raises."""
+    betas, orders, failed = np.full(len(grid), np.nan), [], {}
+    for i, lam in enumerate(grid):
+        try:
+            betas[i] = round_beta(gamma_inf, lam)
+            orders.append(recovery._baseline_order(y, lam, betas[i], Omega))
+        except Exception as exc:
+            failed[i] = str(exc)
+            orders.append(0)
+    return betas, orders, failed
+
+
+def test_order_rule_over_the_grid_matches_the_scalar_rule():
+    rng = np.random.default_rng(27)
+    seen = set()
+    for _ in range(400):
+        K = int(rng.integers(2, 4096))
+        y = SampleVector(values=np.zeros(K), grid=UniformGrid(T=1.0 / K, K=K))
+        rho = float(rng.choice([0.0, rng.uniform(0.001, 0.999), rng.uniform(0.9, 0.9999),
+                                rng.uniform(1.0, 3.0), 1.0]))
+        Omega = rho * K / np.e
+        gamma_inf = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e4))))
+        grid = np.sort(np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=60)))
+        if rng.random() < 0.1:  # thresholds the scalar rule rejects
+            grid[rng.integers(60, size=3)] = [-1.0, 0.0, np.nan]
+        betas, orders, failed = recovery._grid_orders(y, grid, gamma_inf, Omega)
+        scalar_betas, scalar_orders, scalar_failed = _scalar_rule(y, grid, gamma_inf, Omega)
+        np.testing.assert_array_equal(betas, scalar_betas)
+        assert orders.tolist() == scalar_orders
+        assert failed == scalar_failed
+        for text in failed.values():
+            seen.add("rule" if "baseline order rule has no solution" in text
+                     else "samples" if "need more than N=" in text else text)
+        if y.grid.T * Omega * np.e >= 1.0:
+            assert len(failed) == len(grid)
+    assert {"rule", "samples", "beta must be >= threshold"} <= seen
+
+
+def test_every_threshold_failing_past_the_rate_names_the_rule():
+    gamma, y, _ = _measurement(64, "noiseless")
+    grid = np.arange(0.5, 1.5 + 0.05, 0.1)
+    _, _, failed = recovery._grid_mse(y, gamma, 1.0 / (y.grid.T * np.e), grid)
+    assert list(failed) == list(range(len(grid)))
+    assert set(failed.values()) == {
+        "T*Omega*e = 1 >= 1; baseline order rule has no solution"}
+
+
+def _overflowing():
+    """T*Omega*e = 0.995 at K = 256: from 0.3 up the order rule asks for 167
+    or fewer differences, and every unfolding overflows."""
+    src = harness.SyntheticSource(P=1, tau=1.0, K=256, amplitude=0.6, seed=7, threshold=1.0)
+    gamma, y, _ = harness.synthesize_measurement(src)
+    return gamma, y, 0.995 / (y.grid.T * np.e)
+
+
+def test_no_finite_score_raises():
+    gamma, y, Omega = _overflowing()
+    mse_of, _, failed = recovery._grid_mse(y, gamma, Omega, np.arange(0.3, 2.0 + 0.05, 0.1))
+    assert not np.isfinite(mse_of).any() and len(failed) == len(mse_of)
+    message = ("every threshold in [0.3, 2.0] failed; first error: "
+               "[(0.3, 'non-finite calibrated MSE inf')]")
+    with pytest.raises(RecoveryError) as ours:
+        optimize_lambda(y, gamma, Omega, 0.3, 2.0, 0.1)
+    assert str(ours.value) == message
+    with pytest.raises(RecoveryError) as oracle:
+        _reference.optimize_lambda(y, gamma, Omega, 0.3, 2.0, 0.1)
+    assert str(oracle.value) == message
+
+
+def test_the_least_finite_score_wins_over_a_nan():
+    # T*Omega*e = 0.984: the unfolding overflows at the small thresholds,
+    # the first of them to NaN, and scores finite at 31 of the 60
+    src = harness.SyntheticSource(P=59, tau=1.0, K=1024, amplitude=3.0, seed=0, threshold=1.0)
+    gamma, y, _ = harness.synthesize_measurement(src)
+    Omega = 2.0 * np.pi * 59
+    mse_of, _, failed = recovery._grid_mse(y, gamma, Omega, np.arange(0.05, 3.0 + 0.025, 0.05))
+    assert np.isnan(mse_of[0]) and 0 in failed
+    assert np.isfinite(mse_of).sum() == 31
+    assert all("non-finite calibrated MSE" in text for text in failed.values())
+    lam, report = optimize_lambda(y, gamma, Omega, 0.05, 3.0, 0.05)
+    assert lam == 2.25
+    assert report.diagnostics["lambda_opt_mse"] == np.nanmin(mse_of)
+    _assert_same_search(y, gamma, Omega, 0.05, 3.0, 0.05)
+
+
+def test_strict_run_that_overflows_to_nan_fails_the_check():
+    # samples of +-1e308 overflow the differences to inf and the unfolding
+    # to NaN at every stage; no stage norm compares above its bound
+    y = SampleVector(values=1e308 * (-1.0) ** np.arange(16), grid=UniformGrid(T=1.0, K=16))
+    Omega, beta = 1e-100 / np.e, 1e306
+    report = usf_recover(y, 1.0, Omega, beta, strict=False)
+    assert report.diagnostics["N"] == 4
+    assert np.isnan(report.gamma_hat.values).all()
+    with pytest.raises(FoldConsistencyError) as ours:
+        usf_recover(y, 1.0, Omega, beta)
+    assert str(ours.value).startswith("stage 3: reconstructed difference norm nan exceeds")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FoldConsistencyError) as oracle:
+        _reference.usf_recover(y, 1.0, Omega, beta)
+    assert str(oracle.value) == str(ours.value)
