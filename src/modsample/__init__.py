@@ -40,6 +40,6 @@ from .signal_model import (
     sample,
     synthesize_random,
 )
-from .spectral import amplitudes_ls, fit_spikes, grid_support, inband_support
+from .spectral import fit_spikes
 
 __version__ = "0.1.0"

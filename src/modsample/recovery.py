@@ -104,8 +104,9 @@ def anti_difference(rbar) -> np.ndarray:
 def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
     """Unfold modulo samples by estimating the residue in the Fourier domain.
 
-    Pipeline: circular first difference, its real half spectrum, the
-    spike support on the sampling grid with real least-squares amplitudes,
+    Pipeline: one :func:`spectral.fit_spikes` call on the samples (their
+    circular first difference, its real half spectrum, the spike support
+    on the sampling grid and its real least-squares amplitudes), then
     anti-difference and recombination with the folded samples. Folding
     instants lie on the sampling grid by model, so the differenced residue
     is the fitted amplitudes placed at the support; the report carries the
@@ -121,17 +122,18 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
     half spectrum of the differenced samples: the other out-of-band bins
     are the conjugates of these.
 
-    The support comes from :func:`spectral.fit_spikes`, the in-band l1 fit
-    where it is certified and else the Hankel grid search, and
+    The support is the in-band l1 fit's where it is certified; else the
+    Hankel grid search runs, and of the two supports the one whose fit
+    leaves the strictly smaller residual is kept, the grid's on a tie.
     ``diagnostics["support_estimator"]`` names the estimator that found it
     (``"inband_l1"`` or ``"grid"``); see :func:`spectral.fit_spikes` for the
     order and the certificate. At M = 0 the fit has no spikes: the support
     is empty, the estimator None, and the residual is the norm of the
     out-of-band bins n <= K/2. The fit also checks the setting: a negative
-    P or M raises ValueError, and K below 2(P+M+1) UndersampledError. A
-    numerical failure of the fit, such as a singular amplitude system on
-    the grid's support or non-finite samples, raises RecoveryError at
-    step 4.
+    P or M raises ValueError, and K below 2(P+M+1) UndersampledError.
+    Samples that hold NaN or inf, and a numerical failure of the fit such
+    as a singular amplitude system on the grid's support, raise
+    RecoveryError at step 4.
 
     Parameters
     ----------
@@ -145,19 +147,11 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
         cancel.
     """
     K = y.grid.K
-    # steps 1-3: the circular first difference confines the bandlimited part
-    # exactly to 2P+1 DFT bins, so the out-of-band bins carry only the
-    # (negated) spike spectrum. The differenced samples are real, so the
-    # bins 0..K//2 hold the whole spectrum. They are the complex FFT's:
-    # np.fft.rfft's differ from them in the last bit, which would move every
-    # written estimate in its last digits
-    ybar = folding.finite_difference(y.values, 1, circular=True)
-    half = np.fft.fft(ybar)[: K // 2 + 1]
-
-    # step 4: spike support and real amplitudes. A bad setting raises its
-    # own error; a numerical failure of the fit raises LinAlgError
+    # steps 1-4: the circular difference, its half spectrum and the spike
+    # support and real amplitudes. A bad setting raises its own error; a
+    # numerical failure of the fit raises LinAlgError
     try:
-        k_hat, c_hat, residual, estimator = spectral.fit_spikes(half, K, P, M)
+        k_hat, c_hat, residual, estimator = spectral.fit_spikes(y.values, P, M)
     except np.linalg.LinAlgError as exc:
         raise RecoveryError(str(exc), step=4) from exc
 

@@ -386,6 +386,26 @@ class TestRecover:
         assert "DR_y = 0.0" in lines and "DR_ratio = " in lines
         assert "MSE_FD = 0.0" in lines and "MSE_US = 0.0" in lines
 
+    def test_quantized_capture_keeps_the_better_fitting_support(self, tmp_path):
+        # 108 folds in 8192 12-bit samples: the grid support merges nearby
+        # spikes and fits the out-of-band bins worse (residual 71.7, MSE_FD
+        # 1.15) than the l1 support, which is kept
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--tau", "1", "--K", "8192", "--P", "10", "--lambda", "0.2",
+                     "--amplitude", "4", "--seed", "0", "--bits", "12",
+                     "--output-dir", str(sim)]) == 0
+        rec = tmp_path / "rec"
+        assert main(["recover", "--input", str(sim / "capture.csv"), "--P", "10",
+                     "--p-inflation", "0", "--output-dir", str(rec)]) == 0
+        metrics = dict(
+            line.split(" = ", 1) for line in (rec / "metrics.txt").read_text().splitlines()
+        )
+        q = 0.4 / 2**12
+        assert metrics["M"] == "108"
+        assert metrics["support_estimator"] == "inband_l1"
+        assert float(metrics["fit_residual"]) < 1.0
+        assert float(metrics["MSE_FD"]) <= 100 * q * q / 12
+
     def test_impossible_m_is_recovery_failure(self, tmp_path):
         capture = _simulate(tmp_path)
         code = main(

@@ -3,22 +3,15 @@ in `_reference`, read from the out-of-band slice of the full DFT: the same
 support on spike spectra of every Hankel shape parity, on the trial
 families of the acceptance criteria and on dense captures; the in-place
 Hankel view, whose QR factor keeps the singular values and the noise
-subspace of the Hankel matrix; and a refusal of a spectrum that is not
-the half of a real one."""
+subspace of the Hankel matrix."""
 
 import numpy as np
 import pytest
 
 import _reference
 from _trials import dense_capture, ideal_trials, nonideal_trials
-from modsample import (
-    UndersampledError,
-    finite_difference,
-    grid_support,
-    quantize,
-    synthesize_random,
-)
-from modsample.spectral import _hankel, _width
+from modsample import finite_difference, quantize, synthesize_random
+from modsample.spectral import _hankel, _width, grid_support
 
 
 def _spectra(x, P):
@@ -91,18 +84,6 @@ def test_singular_values_match_the_hankel_matrix(Lz, M):
     noise_hankel = vh_hankel[M:].conj().T @ vh_hankel[M:]
     noise_r = vh_r[M:].conj().T @ vh_r[M:]
     np.testing.assert_allclose(noise_r, noise_hankel, rtol=0, atol=1e-8)
-
-
-def test_a_spectrum_that_is_not_a_real_half_is_refused():
-    half, _ = _spectra(np.arange(16.0), 3)
-    for bad in (np.fft.fft(np.arange(16.0)), half[:-1]):  # the full DFT; one bin short
-        with pytest.raises(ValueError, match="real 16-point spectrum has 9 bins"):
-            grid_support(bad, 16, 3, 2)
-    with pytest.raises(ValueError, match="P must be nonnegative"):
-        grid_support(half, 16, -1, 2)
-    # 16 - 2*5 - 1 = 5 out-of-band bins hold 2 spikes, not 3
-    with pytest.raises(UndersampledError, match="got 5"):
-        grid_support(half, 16, 5, 3)
 
 
 def test_criterion_1_and_2_families():

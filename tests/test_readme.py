@@ -122,13 +122,14 @@ def test_fold_count_recipe(readme_runs):
     mse = {M: float(row["MSE_FD"]) for M, row in rows.items()}
     # each stated figure, to half a unit in its last digit
     assert residual[0] == pytest.approx(57.7, abs=0.05)
-    assert residual[29] == pytest.approx(20.9, abs=0.05)
+    assert residual[29] == pytest.approx(11.0, abs=0.05)
     assert residual[30] <= 1e-12
     assert mse[0] == pytest.approx(2.48, abs=0.005)
-    assert mse[29] == pytest.approx(3.25, abs=0.005)
+    assert mse[29] == pytest.approx(0.0399, abs=0.00005)
     assert mse[30] <= 1e-29
-    # no spikes are fitted at M = 0, so only its estimator is empty
-    assert [rows[M]["support_estimator"] for M in (0, 29, 30)] == ["", "grid", "inband_l1"]
+    # no spikes are fitted at M = 0, so only its estimator is empty; at
+    # M = 29 the l1 support fits better than the grid's and is kept
+    assert [rows[M]["support_estimator"] for M in (0, 29, 30)] == ["", "inband_l1", "inband_l1"]
 
 
 def test_default_p_inflation_recipe(readme_runs):

@@ -217,6 +217,19 @@ class TestFourierPronyRecover:
             fourier_prony_recover(trial.y.with_values(values), trial.P, trial.M)
         assert err.value.step == 4
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("M", [0, 1, 4])
+    def test_non_finite_samples_fail_at_step_4_for_every_m(self, bad, M):
+        # rejected before any FFT: no NaN estimate and no RuntimeWarning
+        trial = fixpoint_trial(seed=17, P=5, amplitude=4.5)
+        values = trial.y.values.copy()
+        values[3] = bad
+        with pytest.raises(RecoveryError, match="NaN or inf") as err:
+            fourier_prony_recover(trial.y.with_values(values), trial.P, M)
+        assert err.value.step == 4
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
     def test_singular_amplitude_system_carries_step_4(self, monkeypatch):
         # a support with a repeated index makes the amplitude system singular;
         # numpy's LinAlgError is a ValueError, reported as a recovery failure
@@ -294,11 +307,32 @@ class TestSupportEstimators:
         assert len(l1_calls) == len(grid_calls) == 1
         assert report.diagnostics["support_estimator"] == "grid"
 
+    def test_the_support_with_the_smaller_residual_is_kept(self, monkeypatch):
+        # on an 8-bit capture neither fit is certified: a wrong grid support
+        # fits worse and gives way to the l1 support; the same support from
+        # both is a tie, and the grid's is kept
+        src = SyntheticSource(P=4, tau=1.0, K=512, amplitude=4.0, seed=1, threshold=1.0, bits=8)
+        _, y, spec = synthesize_measurement(src)
+        M = realized_fold_count(spec, src.grid)
+        tie = fourier_prony_recover(y, 4, M)
+        assert tie.diagnostics["support_estimator"] == "grid"
+        monkeypatch.setattr(spectral, "inband_support", lambda h, P, M: tie.support)
+        again = fourier_prony_recover(y, 4, M)
+        assert again.diagnostics["support_estimator"] == "grid"
+        monkeypatch.undo()
+        monkeypatch.setattr(
+            spectral, "grid_support", lambda half, K, P, M: np.sort((tie.support + 1) % K)
+        )
+        report = fourier_prony_recover(y, 4, M)
+        assert report.diagnostics["support_estimator"] == "inband_l1"
+        np.testing.assert_array_equal(report.support, tie.support)
+        assert report.diagnostics["fit_residual"] == tie.diagnostics["fit_residual"]
+
     def test_a_wrong_l1_support_falls_back_to_the_grid(self, monkeypatch):
         trial = self._oversampled()
         true_support = fourier_prony_recover(trial.y, trial.P, trial.M).support
         monkeypatch.setattr(
-            spectral, "inband_support", lambda half, K, P, M: np.sort((true_support + 1) % K)
+            spectral, "inband_support", lambda h, P, M: np.sort((true_support + 1) % len(h))
         )
         report = fourier_prony_recover(trial.y, trial.P, trial.M)
         assert report.diagnostics["support_estimator"] == "grid"
@@ -309,7 +343,7 @@ class TestSupportEstimators:
         # a repeated index makes the amplitude system on the l1 support
         # singular; recovery does not raise but takes the grid's support
         monkeypatch.setattr(
-            spectral, "inband_support", lambda half, K, P, M: np.zeros(M, np.intp)
+            spectral, "inband_support", lambda h, P, M: np.zeros(M, np.intp)
         )
         trial = self._oversampled()
         report = fourier_prony_recover(trial.y, trial.P, trial.M)
@@ -317,7 +351,7 @@ class TestSupportEstimators:
         self._assert_exact(report, trial)
 
     def test_a_singular_l1_step_falls_back_to_the_grid(self, monkeypatch):
-        def singular(half, K, P, M):
+        def singular(h, P, M):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(spectral, "inband_support", singular)
@@ -333,10 +367,7 @@ class TestSupportEstimators:
         for trial, estimator in [(self._oversampled(), "inband_l1")] + [
             (trial, "grid") for trial in ideal_trials(20, seed0=0)
         ]:
-            half = np.fft.fft(finite_difference(trial.y.values, 1, circular=True))
-            k, c, residual, used = spectral.fit_spikes(
-                half[: trial.grid.K // 2 + 1], trial.grid.K, trial.P, trial.M
-            )
+            k, c, residual, used = spectral.fit_spikes(trial.y.values, trial.P, trial.M)
             report = fourier_prony_recover(trial.y, trial.P, trial.M)
             assert used == report.diagnostics["support_estimator"] == estimator
             assert residual == report.diagnostics["fit_residual"]

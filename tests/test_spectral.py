@@ -11,16 +11,14 @@ from modsample import (
     SampleVector,
     UndersampledError,
     UniformGrid,
-    amplitudes_ls,
     finite_difference,
     fit_spikes,
     fourier_prony_recover,
-    grid_support,
-    inband_support,
     sample,
     synthesize_random,
 )
 from modsample.harness import SyntheticSource, realized_fold_count, synthesize_measurement
+from modsample.spectral import amplitudes_ls, grid_support, inband_support
 
 
 def spike_spectrum(k_indices, amplitudes, L, P):
@@ -144,12 +142,6 @@ class TestGridSupport:
         np.testing.assert_array_equal(
             grid_support(spike_half([7, 8], [0.8, -1.9], L), L, P, 2), [7, 8])
 
-    def test_too_few_bins(self):
-        # P = 14 leaves 32 - 29 = 3 out-of-band bins, too few for 2 spikes
-        half = spike_half([5, 17], [1.0, 1.0], 32)
-        with pytest.raises(UndersampledError):
-            grid_support(half, 32, 14, 2)
-
 
 def fold_like_spikes(K, P, M, seed):
     """(half spectrum, k) of M spikes shaped like folds, two of them
@@ -172,38 +164,32 @@ class TestInbandSupport:
         # M = K/4 at small K, two spikes adjacent, 20 draws per shape
         for seed in range(20):
             bins, k = fold_like_spikes(K, P, M, seed)
-            np.testing.assert_array_equal(inband_support(bins, K, P, M), k)
+            np.testing.assert_array_equal(inband_support(high_pass(bins, K, P), P, M), k)
 
     def test_planted_support_over_a_large_grid(self):
         bins, k, _ = planted(8192, 20, 16, seed=3, adjacent=True)
-        np.testing.assert_array_equal(inband_support(bins, 8192, 20, 16), k)
+        np.testing.assert_array_equal(inband_support(high_pass(bins, 8192, 20), 20, 16), k)
 
     def test_a_wrong_l1_support_fails_the_fit(self):
         # spikes of small amplitude defeat the l1 fit here; the amplitude
         # fit on its support then misses the bins by far more than rounding
         bins, k, _ = planted(64, 3, 16, seed=9)
-        support = inband_support(bins, 64, 3, 16)
+        h = high_pass(bins, 64, 3)
+        support = inband_support(h, 3, 16)
         assert not np.array_equal(support, k)
-        _, residual = amplitudes_ls(bins, 64, 3, support)
+        _, residual = amplitudes_ls(h, 3, support)
         assert residual > 1e-3 * np.linalg.norm(bins[4:])
 
     def test_no_out_of_band_energy_gives_zero_spikes(self):
         # with h = 0 every support fits with zero amplitudes
         bins = np.zeros(33, dtype=complex)
         bins[:3] = [1.0, 2.0 - 1.0j, 0.5j]
-        support = inband_support(bins, 64, 2, 4)
+        h = high_pass(bins, 64, 2)
+        assert not h.any()
+        support = inband_support(h, 2, 4)
         assert len(support) == 4
-        c, residual = amplitudes_ls(bins, 64, 2, support)
+        c, residual = amplitudes_ls(h, 2, support)
         assert residual == 0.0 and not c.any()
-
-    def test_validation(self):
-        bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
-        with pytest.raises(ValueError, match="M must be >= 1"):
-            inband_support(bins, 64, 2, 0)
-        with pytest.raises(ValueError, match="has 33 bins, got 32"):
-            inband_support(bins[:-1], 64, 2, 2)
-        with pytest.raises(UndersampledError, match="got 3"):
-            inband_support(bins, 64, 30, 2)
 
 
 def _spike_recovery(k_indices, amplitudes, L, T):
@@ -239,11 +225,6 @@ class TestRootsAndInstants:
         report = _spike_recovery([54, 10], [1.5, -1.5], 64, 1.0)
         np.testing.assert_array_equal(report.support, [10, 54])
         np.testing.assert_allclose(report.amplitudes, [-1.5, 1.5], atol=1e-9)
-
-    def test_too_few_taps(self):
-        # M = 0 leaves a Hankel matrix with no noise subspace to search
-        with pytest.raises(ValueError):
-            grid_support(spike_half([3], [1.0], 8), 8, 1, 0)
 
 
 class TestMatrixPencil:
@@ -281,6 +262,14 @@ def differenced_bins(k, c, K, P, seed=0):
     return np.fft.rfft(np.fft.irfft(in_band, n=K) * K - spikes)
 
 
+def high_pass(bins, K, P):
+    """The K high-pass samples of the real half spectrum `bins`: its inverse
+    FFT with the bins 0..P zeroed, as fit_spikes builds them."""
+    high = np.array(bins, dtype=complex)
+    high[: P + 1] = 0.0
+    return np.fft.irfft(high, n=K)
+
+
 def out_of_band(bins, K, P):
     """The out-of-band bins P+1..K-P-1 of the full K-point DFT whose real
     half is `bins`."""
@@ -308,13 +297,13 @@ def planted(K, P, M, seed, adjacent=False):
 class TestAmplitudesLs:
     def test_single_amplitude(self):
         bins = differenced_bins([21], [2.0], 100, 2)
-        c, residual = amplitudes_ls(bins, 100, 2, [21])
+        c, residual = amplitudes_ls(high_pass(bins, 100, 2), 2, [21])
         assert c[0] == pytest.approx(2.0, abs=1e-10)
         assert residual < 1e-9
 
     def test_two_spikes(self):
         bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
-        c, _ = amplitudes_ls(bins, 64, 2, [6, 25])
+        c, _ = amplitudes_ls(high_pass(bins, 64, 2), 2, [6, 25])
         np.testing.assert_allclose(c, [1.25, -0.75], atol=1e-9)
 
     def test_planted_amplitudes_at_large_L(self):
@@ -323,7 +312,7 @@ class TestAmplitudesLs:
         rng = np.random.default_rng(5)
         k = np.sort(rng.choice(L, size=M, replace=False))
         c_true = rng.uniform(-2.0, 2.0, size=M)
-        c, _ = amplitudes_ls(differenced_bins(k, c_true, L, P), L, P, k)
+        c, _ = amplitudes_ls(high_pass(differenced_bins(k, c_true, L, P), L, P), P, k)
         assert np.max(np.abs(c - c_true)) <= 1e-14 * np.max(np.abs(c_true))
 
     @pytest.mark.parametrize("L", [64, 65])
@@ -340,7 +329,7 @@ class TestAmplitudesLs:
         z, n = out_of_band(bins, L, P), np.arange(P + 1, L - P)
         half = n <= L // 2
         assert (2 * n[half][-1] == L) == (L % 2 == 0)
-        c, _ = amplitudes_ls(bins, L, P, k)
+        c, _ = amplitudes_ls(high_pass(bins, L, P), P, k)
         c_full, _ = reference_amplitudes_ls(-z, n, k, L)
         c_half, _ = reference_amplitudes_ls(-z[half], n[half], k, L)
         assert np.max(np.abs(c_half - c)) <= 1e-12 * np.max(np.abs(c_true))
@@ -349,8 +338,8 @@ class TestAmplitudesLs:
     def test_noise_stability(self):
         bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
         noise = np.fft.rfft(np.random.default_rng(0).normal(size=64)) * 1e-6
-        c0, _ = amplitudes_ls(bins, 64, 2, [6, 25])
-        c1, _ = amplitudes_ls(bins + noise, 64, 2, [6, 25])
+        c0, _ = amplitudes_ls(high_pass(bins, 64, 2), 2, [6, 25])
+        c1, _ = amplitudes_ls(high_pass(bins + noise, 64, 2), 2, [6, 25])
         assert np.max(np.abs(c1 - c0)) < 1e-3  # O(eps) with factor < 1e3
 
     def test_overfit_spike_has_tiny_amplitude(self):
@@ -359,7 +348,7 @@ class TestAmplitudesLs:
         bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
         k = grid_support(bins, 64, 2, 3)
         assert {6, 25} < set(k.tolist())
-        c, _ = amplitudes_ls(bins, 64, 2, k)
+        c, _ = amplitudes_ls(high_pass(bins, 64, 2), 2, k)
         spurious = c[~np.isin(k, [6, 25])]
         assert len(spurious) == 1 and abs(spurious[0]) < 1e-8
 
@@ -379,7 +368,7 @@ class TestAmplitudesLs:
     )
     def test_agrees_with_oracle_on_planted_spikes(self, K, P, M, adjacent):
         bins, k, c_true = planted(K, P, M, seed=K + M, adjacent=adjacent)
-        c, residual = amplitudes_ls(bins, K, P, k)
+        c, residual = amplitudes_ls(high_pass(bins, K, P), P, k)
         c_ref, residual_ref = oracle_fit(bins, K, P, k)
         scale = np.max(np.abs(c_true))
         assert np.max(np.abs(c - c_ref)) <= 1e-12 * scale
@@ -392,7 +381,7 @@ class TestAmplitudesLs:
         # without a Nyquist bin both fits solve the same least-squares
         # problem, so they agree to rounding also where it has no exact fit
         bins, k, _ = planted(K, 4, 12, seed=K)
-        c, residual = amplitudes_ls(bins, K, 4, k[:-1])
+        c, residual = amplitudes_ls(high_pass(bins, K, 4), 4, k[:-1])
         c_ref, residual_ref = oracle_fit(bins, K, 4, k[:-1])
         z = out_of_band(bins, K, 4)
         assert residual > 1e-3 * np.linalg.norm(z)  # a misfit far above rounding
@@ -413,7 +402,7 @@ class TestAmplitudesLs:
         _, y, spec = synthesize_measurement(src)
         bins = np.fft.rfft(finite_difference(y.values, 1, circular=True))
         k = grid_support(bins, K, P, realized_fold_count(spec, src.grid))
-        c, residual = amplitudes_ls(bins, K, P, k)
+        c, residual = amplitudes_ls(high_pass(bins, K, P), P, k)
         c_ref, residual_ref = oracle_fit(bins, K, P, k)
         if K % 2:
             assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
@@ -422,55 +411,61 @@ class TestAmplitudesLs:
             assert np.max(np.abs(c - c_ref)) <= 1e-3 * np.max(np.abs(c_ref))
             assert residual_ref * (1 - 1e-12) <= residual <= residual_ref * 1.001
 
-    def test_validation(self):
-        bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
-        with pytest.raises(ValueError):
-            amplitudes_ls(bins, 64, 2, [])
-        with pytest.raises(ValueError, match="P must be nonnegative"):
-            amplitudes_ls(bins, 64, -1, [6])
-        with pytest.raises(ValueError, match="has 33 bins, got 64"):
-            amplitudes_ls(np.fft.fft(np.fft.irfft(bins, n=64)), 64, 2, [6])  # the full DFT
-        with pytest.raises(UndersampledError):
-            amplitudes_ls(bins, 64, 31, [6, 25])  # one out-of-band bin n <= K/2
-
     def test_singular_gram_raises_value_error(self):
         # a repeated index leaves the amplitude fit no unique solution, and
         # the low-pass fit off the support would not see it, so it is checked
         # for; LinAlgError is a ValueError
         bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
         with pytest.raises(np.linalg.LinAlgError) as err:
-            amplitudes_ls(bins, 64, 2, [6, 6])
+            amplitudes_ls(high_pass(bins, 64, 2), 2, [6, 6])
         assert isinstance(err.value, ValueError)
         # one index repeated inside a dense support, M = K/4
         bins, k, _ = planted(1024, 10, 256, seed=1280)
         k[101] = k[100]
         with pytest.raises(np.linalg.LinAlgError):
-            amplitudes_ls(bins, 1024, 10, k)
+            amplitudes_ls(high_pass(bins, 1024, 10), 10, k)
 
 
 class TestFitSpikes:
-    """fit_spikes owns the spike stage's setting: P and M nonnegative and
-    K >= 2(P+M+1), with M = 0 the fit of no spikes."""
+    """fit_spikes owns the spike stage's setting: P and M nonnegative,
+    K >= 2(P+M+1) and finite samples, with M = 0 the fit of no spikes."""
 
     def test_no_spikes_leave_the_out_of_band_bins_as_residual(self):
-        bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
-        k, c, residual, estimator = fit_spikes(bins, 64, 2, 0)
+        values = np.random.default_rng(0).normal(size=64)
+        k, c, residual, estimator = fit_spikes(values, 2, 0)
         assert k.dtype == np.intp and k.size == 0 and c.size == 0
-        assert residual == np.linalg.norm(bins[3:]) and isinstance(residual, float)
+        bins = np.fft.fft(finite_difference(values, 1, circular=True))
+        assert residual == np.linalg.norm(bins[3:33]) and isinstance(residual, float)
         assert estimator is None
 
-    @pytest.mark.parametrize("K, P, M", [(64, 2, 30), (64, 31, 1), (5, 2, 0), (63, 31, 0)])
+    @pytest.mark.parametrize("K, P, M", [(64, 2, 30), (64, 31, 1), (5, 2, 0), (63, 31, 0),
+                                         (32, 14, 2)])
     def test_below_the_recovery_bound(self, K, P, M):
-        # K = 2P+1 is one sample short of the bound even with no spikes
-        bins = differenced_bins([1], [1.0], K, min(P, K // 2))
+        # K = 2P+1 is one sample short of the bound even with no spikes; at
+        # K = 32, P = 14 the 3 out-of-band bins are too few for 2 spikes
         with pytest.raises(UndersampledError, match="below the recovery bound"):
-            fit_spikes(bins, K, P, M)
+            fit_spikes(np.zeros(K), P, M)
 
     def test_negative_counts_are_value_errors(self):
-        bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
+        values = np.zeros(64)
         with pytest.raises(ValueError, match="M must be nonnegative"):
-            fit_spikes(bins, 64, 2, -1)
+            fit_spikes(values, 2, -1)
         with pytest.raises(ValueError, match="P must be nonnegative"):
-            fit_spikes(bins, 64, -1, 2)
-        with pytest.raises(ValueError, match="has 33 bins, got 32"):
-            fit_spikes(bins[:-1], 64, 2, 2)
+            fit_spikes(values, -1, 2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("M", [0, 1, 4])
+    def test_non_finite_samples_raise_before_any_fft(self, bad, M, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("no FFT may run on non-finite samples")
+
+        monkeypatch.setattr(np.fft, "fft", no_fft)
+        values = np.linspace(-1.0, 1.0, 64)
+        values[17] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="NaN or inf"):
+            fit_spikes(values, 3, M)
+
+    def test_the_setting_is_checked_before_the_samples(self):
+        with pytest.raises(UndersampledError):
+            fit_spikes(np.full(8, np.nan), 2, 4)
