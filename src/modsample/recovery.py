@@ -122,15 +122,16 @@ def fourier_prony_recover(y: SampleVector, P: int, M: int) -> RecoveryReport:
     half spectrum of the differenced samples: the other out-of-band bins
     are the conjugates of these.
 
-    The support is the in-band l1 fit's where it is certified; else the
-    Hankel grid search runs, and of the two supports the one whose fit
-    leaves the strictly smaller residual is kept, the grid's on a tie.
-    ``diagnostics["support_estimator"]`` names the estimator that found it
+    (K, P, M) name the one estimator that finds the support: the in-band
+    l1 fit, with trimmed steps where its fit is not certified, when M >= 2
+    and the K-2P-1 out-of-band bins number more than 3M+1, else the Hankel
+    grid search. ``diagnostics["support_estimator"]`` names it
     (``"inband_l1"`` or ``"grid"``); see :func:`spectral.fit_spikes` for the
-    order and the certificate. At M = 0 the fit has no spikes: the support
+    certificate and the steps. At M = 0 the fit has no spikes: the support
     is empty, the estimator None, and the residual is the norm of the
-    out-of-band bins n <= K/2. The fit also checks the setting: a negative
-    P or M raises ValueError, and K below 2(P+M+1) UndersampledError.
+    out-of-band bins n <= K/2. The fit also checks the setting: a P or M
+    that is negative or not an integer raises ValueError, and K below
+    2(P+M+1) UndersampledError.
     Samples that hold NaN or inf, and a numerical failure of the fit such
     as a singular amplitude system on the grid's support, raise
     RecoveryError at step 4.

@@ -8,38 +8,33 @@ spikes is sum_m c_m xi_m^n with xi_m = exp(-2j pi k_m / K). The
 differenced samples are real, so their bins K-n are the conjugates of bins
 n. :func:`fit_spikes` takes the samples, checks the setting once, and
 builds the bins 0..K//2 of that DFT and the high-pass samples h (the
-inverse FFT with the bins within P of 0 zeroed) once each. Both supports
-find the indices k_m on the grid and never root a polynomial:
-:func:`inband_support` as the least l1 norm of h plus a low-pass part, a
-few FFTs per step, and :func:`grid_support` from the noise subspace of a
-complex Hankel matrix of the out-of-band bins, one QR and one SVD.
-:func:`amplitudes_ls` fits the c_m over the out-of-band bins in the time
-domain, as the low-pass fit of h off the support, with no Vandermonde
-matrix and no M x M system, and its residual certifies a support: with at
-least 2M+1 out-of-band bins only the true support fits them exactly. Where
-no support is certified, the one with the smaller residual is kept.
-Spikes are never held as roots or instants in seconds.
+inverse FFT with the bins within P of 0 zeroed) once each. (K, P, M) name
+the one support estimator that runs; both find the indices k_m on the
+grid and never root a polynomial: :func:`inband_support` as the least l1
+norm of h plus a low-pass part, a few FFTs per step, and
+:func:`grid_support` from the noise subspace of a complex Hankel matrix of
+the out-of-band bins, one QR and one SVD. :func:`amplitudes_ls` fits the
+c_m over the out-of-band bins in the time domain, as the low-pass fit of h
+off the support, with no Vandermonde matrix and no M x M system, and its
+residual certifies a support: with at least 2M+1 out-of-band bins only the
+true support fits them exactly. Spikes are never held as roots or instants
+in seconds.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
 from . import folding
 from .exceptions import UndersampledError
 
-# the most reweighted least-squares steps of inband_support. It took 2
-# steps on 40 of the 41 benchmark captures and 3 on the other (K=1024,
-# M=256), 2 on every dense draw of acceptance criterion 10 and on 8-bit
-# captures, and 2-10 on certified draws at M = K/4. The most seen was 17,
-# on a draw at M = K/4 whose l1 support was wrong
+# the most reweighted least-squares steps of inband_support, and the most
+# trimmed steps of fit_spikes. Reweighting took 2 or 3 steps on the 41
+# benchmark captures, on criterion 10's dense draws and on 8-bit captures,
+# and ran out only on dense draws whose l1 support was wrong
 _IRLS_STEPS = 20
-
-
-def _width(Lz: int, M: int) -> int:
-    """The Hankel width of :func:`grid_support` for Lz out-of-band bins and
-    M spikes."""
-    return min(2 * M, max(M + 1, Lz - 2 * M))
 
 
 def _hankel(z: np.ndarray, Q: int) -> np.ndarray:
@@ -79,31 +74,26 @@ def grid_support(half, K: int, P: int, M: int) -> np.ndarray:
     bandlimited part lies in the bins within P of 0. Bin K-n is the
     conjugate of bin n, so the out-of-band bins z are built from `half`
     and are conjugate-symmetric, z[-1-j] = conj(z[j]), by construction.
-    The right singular vectors of the width-Q Hankel matrix of z beyond
+    The right singular vectors of the M+1-wide Hankel matrix of z beyond
     the first M span its noise subspace, which is orthogonal to
-    (1, xi, ..., xi^(Q-1)) exactly at the spike roots. One length-K FFT of
+    (1, xi, ..., xi^M) exactly at the spike roots. One length-K FFT of
     the noise vectors evaluates that on every grid root at once, and the M
     grid indices with the least noise power are the support: MUSIC
     restricted to the grid.
 
-    The width is Q = min(2M, max(M+1, len(z) - 2M)). At the sampling bound
-    (len(z) = 2M+1) that is M+1 taps, the annihilating filter's aperture;
-    where bins are plentiful it grows to 2M, which separates crowded folds
-    that M+1 taps cannot. The Hankel matrix never has fewer rows than
-    columns.
-
-    A kernel of :func:`fit_spikes`, which checks the setting: M >= 1 and
-    len(z) = K-2P-1 >= 2M+1. Nothing here checks it again.
+    M+1 taps are the annihilating filter's aperture, and the Hankel matrix
+    never has fewer rows than columns. A kernel of :func:`fit_spikes`,
+    which runs it at M = 1 and near the sampling bound, len(z) <= 3M+1, and
+    checks the setting: M >= 1 and len(z) = K-2P-1 >= 2M+1.
 
     Returns the support as sorted integers in [0, K).
     """
     # bins P+1..K//2, then the conjugates of bins (K-1-K//2)..P+1 as bins
     # K//2+1..K-P-1
     z = np.concatenate((half[P + 1 :], half[P + 1 : K - K // 2][::-1].conj()))
-    Q = _width(len(z), M)
     # the Hankel matrix and its triangular QR factor share their right
-    # singular vectors, and the Q x Q factor is the cheaper one to decompose
-    _, _, vh = np.linalg.svd(np.linalg.qr(_hankel(z, Q), mode="r"))
+    # singular vectors, and the square factor is the cheaper one to decompose
+    _, _, vh = np.linalg.svd(np.linalg.qr(_hankel(z, M + 1), mode="r"))
     # conj(v) . (xi^j)_j is the DFT of conj(v) at the root's grid index
     noise = np.fft.fft(np.conj(vh[M:]), n=K, axis=1)
     power = np.sum(np.abs(noise) ** 2, axis=0)
@@ -134,8 +124,8 @@ def inband_support(h: np.ndarray, P: int, M: int) -> np.ndarray:
 
     The l1 minimizer need not be the spike train, least of all near the
     sampling bound, and nothing here checks that it is: :func:`fit_spikes`
-    certifies the support by the residual of :func:`amplitudes_ls` on it.
-    It also checks the setting (1 <= M, 2(P+M+1) <= K); nothing here does.
+    certifies the support by the residual of :func:`amplitudes_ls` on it
+    and refines it, and checks the setting (1 <= M, 2(P+M+1) <= K).
 
     Returns the support as sorted integers in [0, K).
     """
@@ -155,7 +145,7 @@ def inband_support(h: np.ndarray, P: int, M: int) -> np.ndarray:
     return support
 
 
-def amplitudes_ls(h: np.ndarray, P: int, k) -> tuple[np.ndarray, float]:
+def amplitudes_ls(h: np.ndarray, P: int, k) -> tuple[np.ndarray, float, np.ndarray]:
     """Real spike amplitudes c at the grid indices k from least squares over
     every out-of-band bin of the differenced samples, given by their
     K = len(h) high-pass samples h (as for :func:`inband_support`): the
@@ -175,16 +165,28 @@ def amplitudes_ls(h: np.ndarray, P: int, k) -> tuple[np.ndarray, float]:
     (2P+1)^2 solve. :func:`fit_spikes` checks the setting (1 <= M = len(k),
     2(P+M+1) <= K); nothing here does.
 
-    Returns (c, residual), where residual is the norm of the fit's misfit
-    over the out-of-band bins n <= K/2. As l is low-pass, that is the norm
-    of the out-of-band bins of h + l off k.
+    Returns (c, residual, r), where residual is the norm of the fit's
+    misfit over the out-of-band bins n <= K/2 and r = h + l. As l is
+    low-pass, residual is the norm of the out-of-band bins of r off k; on
+    k, r is -c.
     """
     w = np.ones(len(h))
     w[k] = 0.0
     if np.count_nonzero(w) > len(h) - len(k):  # an index of k repeats
         raise np.linalg.LinAlgError("the support repeats an index")
     r = h + _lowpass_fit(h, w, P)
-    return -r[k], float(np.linalg.norm(np.fft.rfft(w * r)[P + 1 :]))
+    return -r[k], float(np.linalg.norm(np.fft.rfft(w * r)[P + 1 :])), r
+
+
+def _count(n, name: str) -> int:
+    """n as a nonnegative int (numpy integers pass), else ValueError."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return n
 
 
 def fit_spikes(values, P: int, M: int):
@@ -193,7 +195,8 @@ def fit_spikes(values, P: int, M: int):
     residual and the name of the support estimator that found them.
 
     This is the one place that checks the spike stage's setting: P and M
-    must be nonnegative (ValueError), and K must reach the recovery bound
+    must be nonnegative integers and the samples one-dimensional
+    (ValueError, naming the argument), and K must reach the recovery bound
     2(P+M+1) (UndersampledError), the fewest samples that leave 2M+1
     out-of-band bins. Samples that hold NaN or inf raise LinAlgError, as a
     numerical failure of the fit does, before any FFT. The fit reads the
@@ -206,39 +209,31 @@ def fit_spikes(values, P: int, M: int):
     the residual ||half[P+1:]||, the misfit of zero spikes over the
     out-of-band bins n <= K/2, and the estimator None. Otherwise the
     amplitudes and residual are those of :func:`amplitudes_ls` on the
-    support, and two estimators can give the support:
+    support, and (K, P, M) alone name the one estimator that finds it:
 
-    - ``"inband_l1"``, :func:`inband_support`, runs first where the Hankel
-      width of :func:`grid_support` exceeds M+1, that is where the
-      Lz = K-2P-1 out-of-band bins number more than 3M+1 and M >= 2. Its
-      support is kept at once when the amplitude fit on it leaves a
-      residual of at most 1e-9 of the norm of the out-of-band bins
-      n <= K/2. The Lz >= 2M+1 bins admit only one M-spike train, so a
-      support that fits them is the true one. Its reweighting stops after
-      at most _IRLS_STEPS = 20 steps; it took 2 or 3 on the benchmark's
-      captures, up to M = K/4.
-    - ``"grid"``, :func:`grid_support`, runs everywhere else: at the width
-      M+1, near the sampling bound, where the l1 support is usually wrong,
-      and wherever the l1 fit is not certified, as under quantization noise
-      or when a step of the l1 fit raises LinAlgError (a singular system).
-
-    Where both ran, the support whose amplitude fit leaves the strictly
-    smaller residual is returned, and a tie keeps the grid's. Under
-    quantization noise no residual reaches the certificate, and the grid's
-    resolution, about K/Q samples, can merge nearby spikes that the l1
-    fit separates; its wrong support then fits worse. Where the grid's
-    support is right a certified l1 support equals it, so there the order
-    only saves time: an l1 step costs a few length-K FFTs, against a QR
-    and an SVD of a matrix up to 2M wide. A singular amplitude system on
-    the grid's support raises LinAlgError.
+    - ``"inband_l1"``, :func:`inband_support`, where M >= 2 and the
+      Lz = K-2P-1 out-of-band bins number more than 3M+1. Its support is
+      kept at once when the amplitude fit on it leaves a residual of at
+      most 1e-9 of the norm of the out-of-band bins n <= K/2: the
+      Lz >= 2M+1 bins admit only one M-spike train, so a support that
+      fits them is the true one. Otherwise, as under quantization noise,
+      least-trimmed-squares concentration steps follow (Rousseeuw & Van
+      Driessen, Data Min. Knowl. Discov. 2006): each takes the M largest
+      |h + l| as the support, l the low-pass fit off the current support
+      that :func:`amplitudes_ls` solves, while the residual strictly
+      falls, for at most _IRLS_STEPS = 20 steps. Each step weights
+      K-M >= 2P+M+2 samples positively, and a nonzero low-pass signal
+      vanishes on at most 2P of them: no system is singular.
+    - ``"grid"``, :func:`grid_support`, everywhere else: at M = 1, and near
+      the sampling bound, where the l1 support is usually wrong. A singular
+      amplitude system on its support raises LinAlgError.
 
     Returns (support, amplitudes, residual, estimator).
     """
-    if P < 0:
-        raise ValueError("P must be nonnegative")
-    if M < 0:
-        raise ValueError("M must be nonnegative")
+    P, M = _count(P, "P"), _count(M, "M")
     values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"values must be one-dimensional, got shape {values.shape}")
     K = len(values)
     if K < 2 * (P + M + 1):
         raise UndersampledError(f"K={K} below the recovery bound 2(P+M+1)={2 * (P + M + 1)}")
@@ -257,15 +252,17 @@ def fit_spikes(values, P: int, M: int):
     high = half.copy()
     high[: P + 1] = 0.0
     h = np.fft.irfft(high, n=K)
-    l1 = (None, None, np.inf, None)  # no l1 fit, or a singular one
-    if _width(K - 2 * P - 1, M) > M + 1:
-        try:
-            k = inband_support(h, P, M)
-            l1 = (k, *amplitudes_ls(h, P, k), "inband_l1")
-        except np.linalg.LinAlgError:
-            pass
-        if l1[2] <= 1e-9 * out_of_band:
-            return l1
-    k = grid_support(half, K, P, M)
-    grid = (k, *amplitudes_ls(h, P, k), "grid")
-    return l1 if l1[2] < grid[2] else grid
+    if M < 2 or K - 2 * P - 1 <= 3 * M + 1:
+        k = grid_support(half, K, P, M)
+        return (k, *amplitudes_ls(h, P, k)[:2], "grid")
+    k = inband_support(h, P, M)
+    c, residual, r = amplitudes_ls(h, P, k)
+    for _ in range(_IRLS_STEPS):
+        if residual <= 1e-9 * out_of_band:
+            break
+        trimmed = np.sort(np.argpartition(np.abs(r), K - M - 1)[K - M :])
+        fit = amplitudes_ls(h, P, trimmed)
+        if fit[1] >= residual:
+            break
+        k, (c, residual, r) = trimmed, fit
+    return k, c, residual, "inband_l1"

@@ -152,3 +152,25 @@ def dense_capture(g: signal_model.TrigPolynomial, K: int, M_target: int) -> Tria
         lo, hi = (mid, hi) if fold(mid)[2] > M_target else (lo, mid)
     y, spec, M = fold(hi)
     return Trial(g=g, grid=grid, gamma=gamma, y=y, spec=spec, M=M, P=g.P, threshold=hi)
+
+
+def dense_draws(K: int, M_target: int, n: int = 4):
+    """The dense draws of acceptance criterion 10 at one (K, M_target): n
+    captures keyed [K, M_target, draw] with P drawn in [1, 15], the odd
+    draws with folds delayed by up to 2 samples, scaled by 1 +- 0.2 and one
+    spurious jump added. Returns (key, gamma, y, P, M) per draw."""
+    cfg = folding.NonIdealityConfig(delay_max_samples=2, threshold_jitter=0.2)
+    draws = []
+    for draw in range(n):
+        key = [K, M_target, draw]
+        rng = np.random.default_rng(key)
+        P = int(rng.integers(1, 16))
+        trial = dense_capture(signal_model.synthesize_random(P, 1.0, 1.0, key), K, M_target)
+        y, M = trial.y, trial.M
+        if draw % 2:
+            spec = folding.perturb_folds(trial.spec, cfg, seed=key + [1])
+            spec = add_spurious_jump(spec, trial.grid, rng)
+            y = folding.apply_residue(trial.gamma, spec)
+            M = harness.realized_fold_count(spec, trial.grid)
+        draws.append((key, trial.gamma, y, P, M))
+    return draws

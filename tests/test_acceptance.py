@@ -12,7 +12,7 @@ import numpy as np
 import _reference
 from _reference import annihilator, build_toeplitz_tall, matrix_pencil
 from conftest import ACCEPTANCE_LINES
-from _trials import add_spurious_jump, dense_capture, fixpoint_trial, ideal_trials, nonideal_trials
+from _trials import dense_capture, dense_draws, fixpoint_trial, ideal_trials, nonideal_trials
 
 from modsample import (
     FoldConsistencyError,
@@ -384,22 +384,8 @@ def test_criterion_10_dense_folds():
     come as close as one sample and whose grid support is wrong. Calibrated
     MSE <= 1e-10 * DR(gamma)^2 in every draw, in under 30 s."""
     start = time.time()
-    cfg = folding.NonIdealityConfig(delay_max_samples=2, threshold_jitter=0.2)
-    cases = []
-    for K in (1024, 2048, 4096, 8192):
-        for M_target in (K // 16, K // 8):
-            for draw in range(4):
-                key = [K, M_target, draw]
-                rng = np.random.default_rng(key)
-                P = int(rng.integers(1, 16))
-                trial = dense_capture(synthesize_random(P, 1.0, 1.0, key), K, M_target)
-                y, M = trial.y, trial.M
-                if draw % 2:
-                    spec = folding.perturb_folds(trial.spec, cfg, seed=key + [1])
-                    spec = add_spurious_jump(spec, trial.grid, rng)
-                    y = folding.apply_residue(trial.gamma, spec)
-                    M = harness.realized_fold_count(spec, trial.grid)
-                cases.append((trial.gamma, y, P, M))
+    cases = [draw[1:] for K in (1024, 2048, 4096, 8192) for M_target in (K // 16, K // 8)
+             for draw in dense_draws(K, M_target)]
     replay = dense_capture(_benchmark_dense_signal([20210512, 2], 10), 2048, 256)
     spikes = finite_difference(replay.gamma.values - replay.y.values, 1, circular=True)
     assert replay.M == 256
@@ -425,9 +411,10 @@ def test_criterion_11_quantized_captures_keep_the_better_fitting_support():
     """Quantized captures at K >= 2048 (P = 10, amplitude 4): lambda = 0.2
     at seed 0 and lambda = 0.1 at seeds 0 and 2, 8, 10 and 12 bits, the
     20 of these on whose grid support recovery once returned wrong, with
-    K = 8192, lambda = 0.2, 12 bits, seed 0 (M = 108) among them. No
-    support fits to the certificate under quantization, and the l1
-    support, whose amplitude fit leaves the smaller residual, is kept:
+    K = 8192, lambda = 0.2, 12 bits, seed 0 (M = 108) among them. All are
+    far from the sampling bound, so only the in-band l1 fit runs. No
+    support fits to the certificate under quantization, and the trimmed
+    steps after the l1 fit keep a support only where it fits better:
     every support equals the truth, in under 30 s."""
     start = time.time()
     cases = [(K, 0.2, bits, 0) for K in (2048, 4096, 8192) for bits in (8, 10, 12)
@@ -447,7 +434,7 @@ def test_criterion_11_quantized_captures_keep_the_better_fitting_support():
     elapsed = time.time() - start
     _report(
         11,
-        "the better-fitting support on quantized captures at K >= 2048",
+        "the l1 support on quantized captures at K >= 2048",
         len(cases) == 20 and not wrong and elapsed < 30.0,
         f"{len(cases)} captures, wrong supports {wrong}, {elapsed:.1f} s",
     )

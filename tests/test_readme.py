@@ -127,8 +127,8 @@ def test_fold_count_recipe(readme_runs):
     assert mse[0] == pytest.approx(2.48, abs=0.005)
     assert mse[29] == pytest.approx(0.0399, abs=0.00005)
     assert mse[30] <= 1e-29
-    # no spikes are fitted at M = 0, so only its estimator is empty; at
-    # M = 29 the l1 support fits better than the grid's and is kept
+    # no spikes are fitted at M = 0, so only its estimator is empty; M = 29
+    # and 30 leave far more than 3M+1 out-of-band bins, so the l1 fit runs
     assert [rows[M]["support_estimator"] for M in (0, 29, 30)] == ["", "inband_l1", "inband_l1"]
 
 

@@ -2,13 +2,15 @@
 higher-order-difference baseline, threshold optimization, sampling bounds
 and error metrics."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import annihilator, build_toeplitz_tall, matrix_pencil
-from _trials import fixpoint_trial, ideal_trials, nonideal_trials
+from _trials import dense_capture, dense_draws, fixpoint_trial, ideal_trials, nonideal_trials
 
 from modsample import spectral
 from modsample import (
@@ -28,6 +30,7 @@ from modsample import (
     fourier_prony_recover,
     mse,
     optimize_lambda,
+    quantize,
     round_beta,
     sample,
     sampling_bounds,
@@ -261,12 +264,13 @@ def _counting(monkeypatch, name):
 
 
 class TestSupportEstimators:
-    """The in-band l1 support runs first where the grid's Hankel width Q
-    exceeds M+1, and the grid runs wherever its amplitude fit is not
-    certified; diagnostics["support_estimator"] names the one used."""
+    """(K, P, M) name the one support estimator that runs: the in-band l1
+    fit, with trimmed steps where it is not certified, where M >= 2 and
+    the K-2P-1 out-of-band bins number more than 3M+1, and the grid
+    everywhere else; diagnostics["support_estimator"] names it."""
 
     def _oversampled(self):
-        # K = 4(P+M+1) leaves 117 out-of-band bins for 26 spikes: Q > M+1
+        # K = 4(P+M+1) leaves 117 out-of-band bins for 26 spikes
         trial = fixpoint_trial(seed=17, P=5, amplitude=4.5, k_factor=4, extra=0)
         assert (trial.grid.K, trial.M) == (128, 26)
         return trial
@@ -274,6 +278,28 @@ class TestSupportEstimators:
     def _assert_exact(self, report, trial):
         err = calibrated_mse(report.gamma_hat.values, trial.gamma.values)
         assert err <= 1e-10 * dynamic_range(trial.gamma) ** 2
+
+    @pytest.mark.parametrize(
+        "K, P, M, estimator",
+        [
+            (12, 2, 2, "grid"),  # K-2P-1 = 7 = 3M+1
+            (13, 2, 2, "inband_l1"),  # 8 bins
+            (20, 3, 4, "grid"),  # 13 = 3M+1
+            (21, 3, 4, "inband_l1"),
+            (1024, 10, 334, "grid"),  # 1003 = 3M+1
+            (1024, 10, 333, "inband_l1"),
+            (10, 3, 1, "grid"),  # M = 1 at the sampling bound
+            (1024, 3, 1, "grid"),  # M = 1 with 1017 bins
+            (64, 3, 0, None),
+        ],
+    )
+    def test_one_estimator_named_by_the_setting(self, monkeypatch, K, P, M, estimator):
+        l1_calls = _counting(monkeypatch, "inband_support")
+        grid_calls = _counting(monkeypatch, "grid_support")
+        values = np.random.default_rng(K + M).normal(size=K)
+        assert spectral.fit_spikes(values, P, M)[3] == estimator
+        calls = {"inband_l1": (1, 0), "grid": (0, 1), None: (0, 0)}[estimator]
+        assert (len(l1_calls), len(grid_calls)) == calls
 
     def test_certified_l1_support_never_calls_the_grid(self, monkeypatch):
         monkeypatch.setattr(spectral, "grid_support", _raise)
@@ -296,71 +322,74 @@ class TestSupportEstimators:
             self._assert_exact(report, trial)
         assert len(calls) == len(trials)
 
-    def test_the_grid_runs_on_an_8_bit_capture(self, monkeypatch):
-        src = SyntheticSource(P=4, tau=1.0, K=512, amplitude=4.0, seed=1, threshold=1.0, bits=8)
-        _, y, spec = synthesize_measurement(src)
-        M = realized_fold_count(spec, src.grid)
-        l1_calls = _counting(monkeypatch, "inband_support")
-        grid_calls = _counting(monkeypatch, "grid_support")
-        report = fourier_prony_recover(y, 4, M)
-        # quantization noise leaves no support a fit to 1e-9
-        assert len(l1_calls) == len(grid_calls) == 1
-        assert report.diagnostics["support_estimator"] == "grid"
+    def test_8_bit_captures_recover_without_the_grid(self, monkeypatch):
+        # criterion 7's family (K = 4(P+M+1)) and the 8-bit capture of the
+        # README tour in CI: no fit is certified, and the l1 fit with its
+        # trimmed steps stays within 100 q^2/12
+        monkeypatch.setattr(spectral, "grid_support", _raise)
+        trials = ideal_trials(50, seed0=5000, P_range=(2, 8), M_range=(1, 40),
+                              amp_range=(5.0, 5.0), threshold=1.0, k_factor=4, extra=0)
+        cases = [(tr.gamma, quantize(tr.y, 8, 1.0), tr.P, tr.M) for tr in trials]
+        src = SyntheticSource(P=4, tau=1.0, K=512, amplitude=4.0, seed=4, threshold=1.0, bits=8)
+        gamma, y, spec = synthesize_measurement(src)
+        assert realized_fold_count(spec, src.grid) == 18
+        cases.append((gamma, y, 4, 18))
+        bound = 100.0 * (2.0 / 2**8) ** 2 / 12.0
+        for gamma, y, P, M in cases:
+            report = fourier_prony_recover(y, P, M)
+            assert report.diagnostics["support_estimator"] == "inband_l1"
+            assert calibrated_mse(report.gamma_hat.values, gamma.values) <= bound
 
-    def test_the_support_with_the_smaller_residual_is_kept(self, monkeypatch):
-        # on an 8-bit capture neither fit is certified: a wrong grid support
-        # fits worse and gives way to the l1 support; the same support from
-        # both is a tie, and the grid's is kept
-        src = SyntheticSource(P=4, tau=1.0, K=512, amplitude=4.0, seed=1, threshold=1.0, bits=8)
-        _, y, spec = synthesize_measurement(src)
-        M = realized_fold_count(spec, src.grid)
-        tie = fourier_prony_recover(y, 4, M)
-        assert tie.diagnostics["support_estimator"] == "grid"
-        monkeypatch.setattr(spectral, "inband_support", lambda h, P, M: tie.support)
-        again = fourier_prony_recover(y, 4, M)
-        assert again.diagnostics["support_estimator"] == "grid"
-        monkeypatch.undo()
-        monkeypatch.setattr(
-            spectral, "grid_support", lambda half, K, P, M: np.sort((tie.support + 1) % K)
-        )
-        report = fourier_prony_recover(y, 4, M)
-        assert report.diagnostics["support_estimator"] == "inband_l1"
-        np.testing.assert_array_equal(report.support, tie.support)
-        assert report.diagnostics["fit_residual"] == tie.diagnostics["fit_residual"]
+    def test_trimmed_steps_never_raise_the_l1_residual(self, monkeypatch):
+        # on uncertified 8-bit captures and on a dense draw whose l1 support
+        # is wrong, the returned fit leaves at most the l1 support's residual
+        l1_residuals = []
+        inner = spectral.inband_support
 
-    def test_a_wrong_l1_support_falls_back_to_the_grid(self, monkeypatch):
-        trial = self._oversampled()
-        true_support = fourier_prony_recover(trial.y, trial.P, trial.M).support
-        monkeypatch.setattr(
-            spectral, "inband_support", lambda h, P, M: np.sort((true_support + 1) % len(h))
-        )
-        report = fourier_prony_recover(trial.y, trial.P, trial.M)
-        assert report.diagnostics["support_estimator"] == "grid"
-        np.testing.assert_array_equal(report.support, true_support)
-        self._assert_exact(report, trial)
+        def recorded(h, P, M):
+            k = inner(h, P, M)
+            l1_residuals.append(spectral.amplitudes_ls(h, P, k)[1])
+            return k
 
-    def test_a_singular_l1_amplitude_system_falls_back_to_the_grid(self, monkeypatch):
-        # a repeated index makes the amplitude system on the l1 support
-        # singular; recovery does not raise but takes the grid's support
-        monkeypatch.setattr(
-            spectral, "inband_support", lambda h, P, M: np.zeros(M, np.intp)
-        )
-        trial = self._oversampled()
-        report = fourier_prony_recover(trial.y, trial.P, trial.M)
-        assert report.diagnostics["support_estimator"] == "grid"
-        self._assert_exact(report, trial)
+        monkeypatch.setattr(spectral, "inband_support", recorded)
+        trials = ideal_trials(20, seed0=5000, P_range=(2, 8), M_range=(1, 40),
+                              amp_range=(5.0, 5.0), threshold=1.0, k_factor=4, extra=0)
+        cases = [(quantize(tr.y, 8, 1.0), tr.P, tr.M) for tr in trials]
+        dense = dense_capture(synthesize_random(6, 1.0, 1.0, [1024, 310, 1, 7]), 1024, 310)
+        cases.append((dense.y, 6, dense.M))
+        residuals = [spectral.fit_spikes(y.values, P, M)[2] for y, P, M in cases]
+        assert len(l1_residuals) == len(cases)
+        assert all(r <= r1 for r, r1 in zip(residuals, l1_residuals))
+        assert residuals[-1] < 1e-9 * l1_residuals[-1]
 
-    def test_a_singular_l1_step_falls_back_to_the_grid(self, monkeypatch):
-        def singular(h, P, M):
-            raise np.linalg.LinAlgError("Singular matrix")
+    @pytest.mark.parametrize("bits", [None, 12, 10])
+    def test_trimmed_steps_repair_a_wrong_dense_l1_support(self, bits):
+        # M = 310 folds in K = 1024 samples: the reweighting ends after its
+        # 20 steps with 22 indices wrong, and recovery once returned MSE
+        # 0.0755 DR^2 without error; two trimmed steps find the truth
+        trial = dense_capture(synthesize_random(6, 1.0, 1.0, [1024, 310, 1, 7]), 1024, 310)
+        assert trial.M == 310
+        y = trial.y if bits is None else quantize(trial.y, bits, trial.threshold)
+        report = fourier_prony_recover(y, 6, 310)
+        truth = np.flatnonzero(finite_difference(trial.spec.values(), 1, circular=True))
+        np.testing.assert_array_equal(report.support, truth)
+        if bits is None:
+            self._assert_exact(report, trial)
 
-        monkeypatch.setattr(spectral, "inband_support", singular)
-        grid_calls = _counting(monkeypatch, "grid_support")
-        trial = self._oversampled()
-        report = fourier_prony_recover(trial.y, trial.P, trial.M)
-        assert report.diagnostics["support_estimator"] == "grid"
-        assert len(grid_calls) == 1
-        self._assert_exact(report, trial)
+    def test_dense_draws_at_a_quarter_of_k(self):
+        # criterion 10's draws at M_target = K/4, 8 per K: the grid once
+        # found [2048, 512, 3] in about 1 s, one trimmed step finds it now
+        start = time.time()
+        exact = [
+            key
+            for K in (1024, 2048, 4096, 8192)
+            for key, gamma, y, P, M in dense_draws(K, K // 4, 8)
+            if calibrated_mse(fourier_prony_recover(y, P, M).gamma_hat.values, gamma.values)
+            <= 1e-10 * dynamic_range(gamma) ** 2
+        ]
+        elapsed = time.time() - start
+        assert len(exact) >= 30 and [2048, 512, 3] in exact, exact
+        assert elapsed < 30.0
 
     def test_fit_spikes_is_the_reported_fit(self):
         # the l1 fit on the oversampled trial, the grid on criterion-1 trials

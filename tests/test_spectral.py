@@ -177,7 +177,7 @@ class TestInbandSupport:
         h = high_pass(bins, 64, 3)
         support = inband_support(h, 3, 16)
         assert not np.array_equal(support, k)
-        _, residual = amplitudes_ls(h, 3, support)
+        _, residual, _ = amplitudes_ls(h, 3, support)
         assert residual > 1e-3 * np.linalg.norm(bins[4:])
 
     def test_no_out_of_band_energy_gives_zero_spikes(self):
@@ -188,7 +188,7 @@ class TestInbandSupport:
         assert not h.any()
         support = inband_support(h, 2, 4)
         assert len(support) == 4
-        c, residual = amplitudes_ls(h, 2, support)
+        c, residual, _ = amplitudes_ls(h, 2, support)
         assert residual == 0.0 and not c.any()
 
 
@@ -297,13 +297,13 @@ def planted(K, P, M, seed, adjacent=False):
 class TestAmplitudesLs:
     def test_single_amplitude(self):
         bins = differenced_bins([21], [2.0], 100, 2)
-        c, residual = amplitudes_ls(high_pass(bins, 100, 2), 2, [21])
+        c, residual, _ = amplitudes_ls(high_pass(bins, 100, 2), 2, [21])
         assert c[0] == pytest.approx(2.0, abs=1e-10)
         assert residual < 1e-9
 
     def test_two_spikes(self):
         bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
-        c, _ = amplitudes_ls(high_pass(bins, 64, 2), 2, [6, 25])
+        c, _, _ = amplitudes_ls(high_pass(bins, 64, 2), 2, [6, 25])
         np.testing.assert_allclose(c, [1.25, -0.75], atol=1e-9)
 
     def test_planted_amplitudes_at_large_L(self):
@@ -312,7 +312,7 @@ class TestAmplitudesLs:
         rng = np.random.default_rng(5)
         k = np.sort(rng.choice(L, size=M, replace=False))
         c_true = rng.uniform(-2.0, 2.0, size=M)
-        c, _ = amplitudes_ls(high_pass(differenced_bins(k, c_true, L, P), L, P), P, k)
+        c, _, _ = amplitudes_ls(high_pass(differenced_bins(k, c_true, L, P), L, P), P, k)
         assert np.max(np.abs(c - c_true)) <= 1e-14 * np.max(np.abs(c_true))
 
     @pytest.mark.parametrize("L", [64, 65])
@@ -329,7 +329,7 @@ class TestAmplitudesLs:
         z, n = out_of_band(bins, L, P), np.arange(P + 1, L - P)
         half = n <= L // 2
         assert (2 * n[half][-1] == L) == (L % 2 == 0)
-        c, _ = amplitudes_ls(high_pass(bins, L, P), P, k)
+        c, _, _ = amplitudes_ls(high_pass(bins, L, P), P, k)
         c_full, _ = reference_amplitudes_ls(-z, n, k, L)
         c_half, _ = reference_amplitudes_ls(-z[half], n[half], k, L)
         assert np.max(np.abs(c_half - c)) <= 1e-12 * np.max(np.abs(c_true))
@@ -338,8 +338,8 @@ class TestAmplitudesLs:
     def test_noise_stability(self):
         bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
         noise = np.fft.rfft(np.random.default_rng(0).normal(size=64)) * 1e-6
-        c0, _ = amplitudes_ls(high_pass(bins, 64, 2), 2, [6, 25])
-        c1, _ = amplitudes_ls(high_pass(bins + noise, 64, 2), 2, [6, 25])
+        c0, _, _ = amplitudes_ls(high_pass(bins, 64, 2), 2, [6, 25])
+        c1, _, _ = amplitudes_ls(high_pass(bins + noise, 64, 2), 2, [6, 25])
         assert np.max(np.abs(c1 - c0)) < 1e-3  # O(eps) with factor < 1e3
 
     def test_overfit_spike_has_tiny_amplitude(self):
@@ -348,7 +348,7 @@ class TestAmplitudesLs:
         bins = differenced_bins([6, 25], [1.25, -0.75], 64, 2)
         k = grid_support(bins, 64, 2, 3)
         assert {6, 25} < set(k.tolist())
-        c, _ = amplitudes_ls(high_pass(bins, 64, 2), 2, k)
+        c, _, _ = amplitudes_ls(high_pass(bins, 64, 2), 2, k)
         spurious = c[~np.isin(k, [6, 25])]
         assert len(spurious) == 1 and abs(spurious[0]) < 1e-8
 
@@ -368,7 +368,7 @@ class TestAmplitudesLs:
     )
     def test_agrees_with_oracle_on_planted_spikes(self, K, P, M, adjacent):
         bins, k, c_true = planted(K, P, M, seed=K + M, adjacent=adjacent)
-        c, residual = amplitudes_ls(high_pass(bins, K, P), P, k)
+        c, residual, _ = amplitudes_ls(high_pass(bins, K, P), P, k)
         c_ref, residual_ref = oracle_fit(bins, K, P, k)
         scale = np.max(np.abs(c_true))
         assert np.max(np.abs(c - c_ref)) <= 1e-12 * scale
@@ -381,12 +381,17 @@ class TestAmplitudesLs:
         # without a Nyquist bin both fits solve the same least-squares
         # problem, so they agree to rounding also where it has no exact fit
         bins, k, _ = planted(K, 4, 12, seed=K)
-        c, residual = amplitudes_ls(high_pass(bins, K, 4), 4, k[:-1])
+        c, residual, r = amplitudes_ls(high_pass(bins, K, 4), 4, k[:-1])
         c_ref, residual_ref = oracle_fit(bins, K, 4, k[:-1])
         z = out_of_band(bins, K, 4)
         assert residual > 1e-3 * np.linalg.norm(z)  # a misfit far above rounding
         assert abs(residual - residual_ref) <= 1e-12 * np.linalg.norm(z)
         assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
+        # the misfit r is -c on the support, and its out-of-band bins off
+        # the support are the residual
+        np.testing.assert_array_equal(r[k[:-1]], -c)
+        r[k[:-1]] = 0.0
+        assert residual == np.linalg.norm(np.fft.rfft(r)[5:])
 
     @pytest.mark.parametrize(
         "K, P, seed",
@@ -401,8 +406,9 @@ class TestAmplitudesLs:
                               threshold=1.0, bits=8)
         _, y, spec = synthesize_measurement(src)
         bins = np.fft.rfft(finite_difference(y.values, 1, circular=True))
-        k = grid_support(bins, K, P, realized_fold_count(spec, src.grid))
-        c, residual = amplitudes_ls(high_pass(bins, K, P), P, k)
+        k = np.flatnonzero(finite_difference(spec.values(), 1, circular=True))
+        assert len(k) == realized_fold_count(spec, src.grid)
+        c, residual, _ = amplitudes_ls(high_pass(bins, K, P), P, k)
         c_ref, residual_ref = oracle_fit(bins, K, P, k)
         if K % 2:
             assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
@@ -427,8 +433,9 @@ class TestAmplitudesLs:
 
 
 class TestFitSpikes:
-    """fit_spikes owns the spike stage's setting: P and M nonnegative,
-    K >= 2(P+M+1) and finite samples, with M = 0 the fit of no spikes."""
+    """fit_spikes owns the spike stage's setting: P and M nonnegative
+    integers, one-dimensional samples, K >= 2(P+M+1) and finite samples,
+    with M = 0 the fit of no spikes."""
 
     def test_no_spikes_leave_the_out_of_band_bins_as_residual(self):
         values = np.random.default_rng(0).normal(size=64)
@@ -452,6 +459,25 @@ class TestFitSpikes:
             fit_spikes(values, 2, -1)
         with pytest.raises(ValueError, match="P must be nonnegative"):
             fit_spikes(values, -1, 2)
+
+    @pytest.mark.parametrize("P, M, name", [(2.0, 3, "P"), (2, 3.0, "M"), ("2", 3, "P"),
+                                            (2, None, "M")])
+    def test_non_integer_counts_are_value_errors(self, P, M, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            fit_spikes(np.zeros(64), P, M)
+
+    def test_numpy_integer_counts_pass(self):
+        values = np.random.default_rng(1).normal(size=64)
+        k, c, residual, estimator = fit_spikes(values, np.int64(2), np.int32(3))
+        k2, c2, residual2, estimator2 = fit_spikes(values, 2, 3)
+        np.testing.assert_array_equal(k, k2)
+        assert c.tobytes() == c2.tobytes() and residual == residual2
+        assert estimator == estimator2 == "inband_l1"
+
+    @pytest.mark.parametrize("shape", [(8, 8), (2, 64), ()])
+    def test_samples_must_be_one_dimensional(self, shape):
+        with pytest.raises(ValueError, match=r"values must be one-dimensional, got shape"):
+            fit_spikes(np.zeros(shape), 2, 1)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
