@@ -448,11 +448,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             metrics["US_error"] = str(exc)
         if cfg.lambda_grid is not None:
             try:
-                lam_opt, opt_report = recovery.optimize_lambda(
+                metrics["lambda_opt"], metrics["MSE_USopt"] = recovery.optimize_lambda(
                     y, truth, Omega, *cfg.lambda_grid
                 )
-                metrics["lambda_opt"] = lam_opt
-                metrics["MSE_USopt"] = opt_report.diagnostics["lambda_opt_mse"]
             except ModsampleError as exc:
                 metrics["USopt_error"] = str(exc)
 

@@ -20,7 +20,7 @@ unfolding overflows scores as failed."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -320,13 +320,7 @@ def _unfold(diffs: list, lam: np.ndarray, stats: bool = False):
     return rho_n, rebuilt, snap, norms
 
 
-def usf_recover(
-    y: SampleVector,
-    threshold: float,
-    Omega: float,
-    beta: float,
-    strict: bool = True,
-) -> RecoveryReport:
+def usf_recover(y: SampleVector, threshold: float, Omega: float, beta: float) -> RecoveryReport:
     """Baseline unfolding through higher-order finite differences.
 
     Estimates the order-N difference of the residue from the modulo identity,
@@ -339,12 +333,11 @@ def usf_recover(
     `folding.round_beta`). This is the one-threshold run of the kernel that
     :func:`optimize_lambda` runs over a whole threshold grid at once.
 
-    With `strict`, a stage whose best constant still violates that bound,
-    or whose norm is NaN because the unfolding overflowed, raises
-    FoldConsistencyError, naming the first such stage from order N-1 down:
-    the data is inconsistent with ideal 2*threshold folds. This run alone
-    reports the snap distance and stage norms, so it takes the kernel's
-    float ladder.
+    A stage whose best constant still violates that bound, or whose norm
+    is NaN because the unfolding overflowed, raises FoldConsistencyError,
+    naming the first such stage from order N-1 down: the data is
+    inconsistent with ideal 2*threshold folds. This run alone reports the
+    snap distance and stage norms, so it takes the kernel's float ladder.
     """
     rho = y.grid.T * Omega * _EULER
     N = _baseline_order(y, threshold, beta, Omega)
@@ -360,7 +353,7 @@ def usf_recover(
         stage_bound = rho**n * beta
         diagnostics[f"stage_{n}_excess"] = stage_norm - stage_bound
         # a NaN norm, from an unfolding that overflowed, fails the check too
-        if strict and not stage_norm <= stage_bound + bound_slack:
+        if not stage_norm <= stage_bound + bound_slack:
             raise FoldConsistencyError(
                 f"stage {n}: reconstructed difference norm {stage_norm:.6g} "
                 f"exceeds the bandlimited bound {stage_bound:.6g}; data is "
@@ -380,16 +373,16 @@ def usf_recover(
 def _grid_mse(y: SampleVector, gamma_ref: SampleVector, Omega: float, grid):
     """The baseline at every threshold of `grid`, scored against gamma_ref.
 
-    Returns (mse, betas, failed): the calibrated MSE and the max-norm bound
-    of each threshold, and {grid index: error text} of the thresholds that
-    fail, in grid order. A threshold fails when its order fails (its mse
-    entry is NaN) or when its score is not finite because the unfolding
-    overflowed (the entry keeps that score). The order rule runs over the
+    Returns (mse, failed): the calibrated MSE of each threshold, and
+    {grid index: error text} of the thresholds that fail, in grid order. A
+    threshold fails when its order fails (its mse entry is NaN) or when its
+    score is not finite because the unfolding overflowed (the entry keeps
+    that score). The order rule runs over the
     whole grid at once (:func:`_grid_orders`), and the rest run in one
     batch per order, in blocks of at most _BLOCK_CELLS samples.
     """
     gamma_inf = float(np.max(np.abs(gamma_ref.values)))
-    betas, orders, failed = _grid_orders(y, grid, gamma_inf, Omega)
+    _, orders, failed = _grid_orders(y, grid, gamma_inf, Omega)
 
     # row-wise, in place, and in the order of calibrated_mse's own operations
     ref = gamma_ref.values
@@ -411,7 +404,7 @@ def _grid_mse(y: SampleVector, gamma_ref: SampleVector, Omega: float, grid):
                 mse_of[block] = np.square(raw, out=raw).mean(axis=1)
     for i in np.flatnonzero((orders > 0) & ~np.isfinite(mse_of)).tolist():
         failed[i] = f"non-finite calibrated MSE {mse_of[i]}"
-    return mse_of, betas, dict(sorted(failed.items()))
+    return mse_of, dict(sorted(failed.items()))
 
 
 def optimize_lambda(
@@ -424,7 +417,8 @@ def optimize_lambda(
 ):
     """Grid search for the folding threshold minimizing the calibrated MSE of
     the baseline reconstruction against a reference; ties break toward the
-    smallest threshold. Returns the threshold and its zero-mean report.
+    smallest threshold. Returns (lambda_opt, mse): the threshold and its
+    calibrated MSE.
 
     The grid is lo, lo+step, ... up to hi. A threshold whose difference
     order fails, or whose score is not finite, is skipped, so the optimum
@@ -432,7 +426,7 @@ def optimize_lambda(
     grid order when no score is finite. The thresholds run through the
     kernel behind :func:`usf_recover` in batches that share an order,
     mostly on exact integer fold counts, and each scores bitwise as its own
-    :func:`usf_recover` run would; the report is that run at the optimum.
+    :func:`usf_recover` run would, so the returned MSE is that run's.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
         raise ValueError(f"need finite lo, hi and step, got {lo!r}, {hi!r}, {step!r}")
@@ -441,7 +435,7 @@ def optimize_lambda(
     if gamma_ref.grid != y.grid:
         raise ValueError("gamma_ref must share the grid of y")
     grid = np.arange(lo, hi + 0.5 * step, step)
-    mse_of, betas, failed = _grid_mse(y, gamma_ref, Omega, grid)
+    mse_of, failed = _grid_mse(y, gamma_ref, Omega, grid)
     best = None
     for i, err in enumerate(mse_of):
         if i not in failed and (best is None or err < mse_of[best] - 1e-15):
@@ -449,8 +443,4 @@ def optimize_lambda(
     if best is None:
         first = [(float(grid[i]), text) for i, text in failed.items()][:1]
         raise RecoveryError(f"every threshold in [{lo}, {hi}] failed; first error: {first}")
-    lam_opt = float(grid[best])
-    report = usf_recover(y, grid[best], Omega, betas[best], strict=False)
-    report.diagnostics["lambda_opt"] = lam_opt
-    report.diagnostics["lambda_opt_mse"] = float(mse_of[best])
-    return lam_opt, replace(report, method="usf_opt")
+    return float(grid[best]), float(mse_of[best])

@@ -3,7 +3,8 @@ sampling, quantization and dynamic range."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +16,17 @@ _REAL_ATOL = 1e-12
 _MAX_EST_GRID = 16384
 
 
+def _count(n, name: str) -> int:
+    """n as a nonnegative int (numpy integers pass), else ValueError."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class TrigPolynomial:
     """A tau-periodic bandlimited signal g(t) = sum_{|p|<=P} c_p exp(j p w0 t).
@@ -24,49 +36,39 @@ class TrigPolynomial:
     tau : float
         Period in seconds, finite and > 0.
     P : int
-        Highest harmonic index (bandwidth index), >= 0.
+        Highest harmonic index (bandwidth index), an integer >= 0; numpy
+        integers pass.
     coeffs : ndarray
         Finite complex Fourier coefficients for p = -P..P (length 2P+1),
-        with Hermitian symmetry c_{-p} = conj(c_p) so the signal is real.
-        Symmetry is checked as ``np.allclose(coeffs[::-1], conj(coeffs),
-        atol=1e-12 * max(max|c|, 1))`` would check it, written out so that
-        a non-finite tolerance cannot arise. The polynomial keeps a
-        read-only copy. The construction also settles, once per
-        coefficient array, the imaginary-part bound that sampling
-        (:func:`_on_grid`) requires.
+        Hermitian c_{-p} = conj(c_p) so that the signal is real. The
+        constructor is the one place that checks this: it rejects
+        coefficients with 0.5 * sum_p |c_p - conj(c_-p)| above
+        1e-9 * sum_p |c_p| + 1e-12. Half that sum bounds the imaginary part
+        of g anywhere, so sampling (:func:`_on_grid`), which drops it,
+        trusts the constructor. The polynomial keeps a read-only copy.
     """
 
     tau: float
     P: int
     coeffs: np.ndarray
-    # the coefficient array known to meet the imaginary-part bound of
-    # _on_grid; replacing `coeffs` by another array re-runs that check
-    _real_coeffs: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if not 0 < self.tau < np.inf:
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
-        if self.P < 0:
-            raise ValueError(f"P must be nonnegative, got {self.P}")
+        P = _count(self.P, "P")
         coeffs = np.array(self.coeffs, dtype=complex)
-        if coeffs.shape != (2 * self.P + 1,):
+        if coeffs.shape != (2 * P + 1,):
             raise ValueError(
-                f"coeffs must have length 2P+1={2 * self.P + 1}, got {coeffs.shape}"
+                f"coeffs must have length 2P+1={2 * P + 1}, got {coeffs.shape}"
             )
         if not np.isfinite(coeffs).all():
             raise ValueError("coeffs must be finite")
-        coeffs.flags.writeable = False
-        mag = np.abs(coeffs)
-        # |c_p - conj(c_-p)|; reversed, it is |coeffs[::-1] - conj(coeffs)|
-        asym = np.abs(coeffs - np.conj(coeffs[::-1]))
-        scale = max(mag.max(), 1.0)
-        if not (asym[::-1] <= 1e-12 * scale + 1e-5 * mag).all():
+        asym = np.sum(np.abs(coeffs - np.conj(coeffs[::-1])))
+        if 0.5 * asym > _REAL_RTOL * np.sum(np.abs(coeffs)) + _REAL_ATOL:
             raise ValueError("coeffs must be Hermitian symmetric (real signal)")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "P", P)
         object.__setattr__(self, "coeffs", coeffs)
-        if not _imaginary_part_exceeds(asym, mag):
-            object.__setattr__(self, "_real_coeffs", coeffs)
 
     @property
     def omega0(self) -> float:
@@ -76,7 +78,8 @@ class TrigPolynomial:
 
 @dataclass(frozen=True)
 class UniformGrid:
-    """Uniform sampling lattice with step T and K samples."""
+    """Uniform sampling lattice with step T and K samples; K is a positive
+    integer, and numpy integers pass."""
 
     T: float
     K: int
@@ -84,8 +87,10 @@ class UniformGrid:
     def __post_init__(self):
         if not 0 < self.T < np.inf:
             raise ValueError(f"T must be finite and positive, got {self.T}")
-        if self.K < 1:
-            raise ValueError(f"K must be a positive integer, got {self.K}")
+        K = _count(self.K, "K")
+        if K < 1:
+            raise ValueError(f"K must be a positive integer, got {K}")
+        object.__setattr__(self, "K", K)
 
     @property
     def times(self) -> np.ndarray:
@@ -126,15 +131,15 @@ def synthesize_random(P: int, tau: float, amplitude: float, seed) -> TrigPolynom
     Gaussian, negative harmonics follow by conjugation, and everything is
     rescaled so the dense-grid maximum of |g| equals `amplitude` (1% accurate
     by construction of the estimation grid). The dense grid is the
-    N = 16384 points k*tau/N: one inverse real FFT of the bins of
-    :func:`_placed_bins` gives them divided by N, and the peak is scaled
-    by N after the max. N is a power of two, so that scaling is exact and
-    the peak is that of the samples of :func:`_on_grid`, with one N-point
-    array fewer. For 2P+1 > N, harmonics p and p + N would share a bin and
-    the peak would be that of the aliased samples.
+    N = 16384 points k*tau/N: one inverse real FFT of the drawn
+    coefficients' bins (:func:`_placed_bins`) gives them divided by N, and
+    the peak is scaled by N after the max. N is a power of two, so that
+    scaling is exact and the peak is that of the samples of
+    :func:`_on_grid`, with one N-point array fewer. For 2P+1 > N, harmonics
+    p and p + N would share a bin and the peak would be that of the aliased
+    samples. P is a nonnegative integer (numpy integers pass).
     """
-    if P < 0:
-        raise ValueError(f"P must be nonnegative, got {P}")
+    P = _count(P, "P")
     if not 0 < tau < np.inf:
         raise ValueError(f"tau must be finite and positive, got {tau}")
     if not 0 < amplitude < np.inf:
@@ -148,9 +153,8 @@ def synthesize_random(P: int, tau: float, amplitude: float, seed) -> TrigPolynom
         coeffs[:P] = np.conj(pos[::-1])
     if not np.any(np.abs(coeffs) > 0):  # pathological draw, keep it valid
         coeffs[P] = 1.0
-    g = TrigPolynomial(tau=tau, P=P, coeffs=coeffs)
     N = _MAX_EST_GRID
-    peak = np.max(np.abs(np.fft.irfft(_placed_bins(g, N), n=N))) * N
+    peak = np.max(np.abs(np.fft.irfft(_placed_bins(coeffs, N), n=N))) * N
     return TrigPolynomial(tau=tau, P=P, coeffs=coeffs * (amplitude / peak))
 
 
@@ -164,21 +168,14 @@ def evaluate(g: TrigPolynomial, t) -> np.ndarray | float:
     return out if np.ndim(t) else float(out[0])
 
 
-def _imaginary_part_exceeds(asym: np.ndarray, mag: np.ndarray) -> bool:
-    """Whether coefficients with |c_p - conj(c_-p)| = asym and |c_p| = mag
-    can give an imaginary part beyond the tolerance :func:`evaluate`
-    allows: half the sum of asym bounds that imaginary part."""
-    return bool(0.5 * np.sum(asym) > _REAL_RTOL * np.sum(mag) + _REAL_ATOL)
-
-
-def _placed_bins(g: TrigPolynomial, N: int) -> np.ndarray:
-    """Bins 0..N//2 of g's coefficients placed at bins p mod N, the input
-    that gives g at the N points k*tau/N by one inverse real FFT of length N.
+def _placed_bins(c: np.ndarray, N: int) -> np.ndarray:
+    """Bins 0..N//2 of the 2P+1 coefficients c_-P..c_P placed at bins
+    p mod N, the input that gives their polynomial at the N points k*tau/N
+    by one inverse real FFT of length N.
 
     The transform drops the imaginary part that a non-Hermitian spectrum
-    would carry, so the coefficients must meet the imaginary-part bound of
-    :func:`_imaginary_part_exceeds`. The constructor settles it once per
-    coefficient array; an array swapped in afterwards is checked here.
+    would carry; the coefficients are taken as Hermitian, which the
+    :class:`TrigPolynomial` constructor checks.
 
     For N > 2P the bins are the P+1 coefficients c_0..c_P, and the FFT
     zero-pads them to N//2+1 inside its own buffer, so no N-bin spectrum is
@@ -186,15 +183,11 @@ def _placed_bins(g: TrigPolynomial, N: int) -> np.ndarray:
     to an empty bin gives. For N <= 2P, harmonics p and p + N share a bin
     and add, as sampling at that rate aliases them.
     """
-    c = g.coeffs
-    if g._real_coeffs is not c:
-        if _imaginary_part_exceeds(np.abs(c - np.conj(c[::-1])), np.abs(c)):
-            raise AssertionError("coefficients would give a non-negligible imaginary part")
-        object.__setattr__(g, "_real_coeffs", c)
-    if N > 2 * g.P:
-        return c[g.P :] + 0.0
+    P = len(c) // 2
+    if N > 2 * P:
+        return c[P:] + 0.0
     spec = np.zeros(N, dtype=complex)
-    np.add.at(spec, np.arange(-g.P, g.P + 1) % N, c)
+    np.add.at(spec, np.arange(-P, P + 1) % N, c)
     return spec[: N // 2 + 1]
 
 
@@ -203,7 +196,7 @@ def _on_grid(g: TrigPolynomial, N: int) -> np.ndarray:
     :func:`_placed_bins`, scaled by N in place. Apart from the N-point
     result it allocates nothing of length N once N > 2P (on numpy >= 2;
     numpy 1.x pads the input to N complex bins in Python)."""
-    out = np.fft.irfft(_placed_bins(g, N), n=N)
+    out = np.fft.irfft(_placed_bins(g.coeffs, N), n=N)
     out *= N
     return out
 
@@ -223,12 +216,11 @@ def sample(g: TrigPolynomial, grid: UniformGrid) -> SampleVector:
     """Sample one period of g on a K-point grid with K*T == tau.
 
     The samples g(k*tau/K) come from :func:`_on_grid`: one inverse real
-    FFT of the coefficients placed at bins p mod K, after the imaginary-part
-    check that the polynomial settles once per coefficient array. For
-    K > 2P the only K-point array allocated is the result. With K < 2P+1,
-    harmonics p and p + K fall in the same bin and add, which is the
-    aliasing of sampling at that rate; at the even K = 2P, harmonics +-P
-    share the Nyquist bin.
+    FFT of the coefficients placed at bins p mod K, whose realness the
+    polynomial's constructor has checked. For K > 2P the only K-point array
+    allocated is the result. With K < 2P+1, harmonics p and p + K fall in
+    the same bin and add, which is the aliasing of sampling at that rate;
+    at the even K = 2P, harmonics +-P share the Nyquist bin.
     """
     if abs(grid.span - g.tau) > 1e-9 * g.tau:
         raise ValueError(

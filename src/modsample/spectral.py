@@ -23,12 +23,11 @@ in seconds.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from . import folding
 from .exceptions import UndersampledError
+from .signal_model import _count
 
 # the most reweighted least-squares steps of inband_support, and the most
 # trimmed steps of fit_spikes. Reweighting took 2 or 3 steps on the 41
@@ -176,17 +175,6 @@ def amplitudes_ls(h: np.ndarray, P: int, k) -> tuple[np.ndarray, float, np.ndarr
         raise np.linalg.LinAlgError("the support repeats an index")
     r = h + _lowpass_fit(h, w, P)
     return -r[k], float(np.linalg.norm(np.fft.rfft(w * r)[P + 1 :])), r
-
-
-def _count(n, name: str) -> int:
-    """n as a nonnegative int (numpy integers pass), else ValueError."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {n!r}") from None
-    if n < 0:
-        raise ValueError(f"{name} must be nonnegative")
-    return n
 
 
 def fit_spikes(values, P: int, M: int):

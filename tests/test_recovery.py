@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference
 from _reference import annihilator, build_toeplitz_tall, matrix_pencil
 from _trials import dense_capture, dense_draws, fixpoint_trial, ideal_trials, nonideal_trials
 
@@ -442,13 +443,6 @@ class TestUsfRecover:
         except ModsampleError:
             pass
 
-    def test_strict_false_never_raises_consistency(self):
-        gamma, y, Omega, beta = self._oversampled(seed=12, P=2, K=256)
-        spec = ResidueSpec(k=[64], c=[1.1], K=y.grid.K, tau=1.0)
-        y2 = apply_residue(gamma, spec)
-        report = usf_recover(y2, 1.0, Omega, beta, strict=False)
-        assert report.method == "usf"
-
     def test_order_rule_validation(self):
         _, y, Omega, _ = self._oversampled()
         with pytest.raises(ValueError, match="beta must be >= threshold"):
@@ -467,18 +461,17 @@ class TestOptimizeLambda:
 
     def test_recovers_true_threshold(self):
         gamma, y, Omega = self._folded_at(1.0)
-        lam_opt, report = optimize_lambda(y, gamma, Omega, 0.55, 1.45, 0.01)
+        lam_opt, err = optimize_lambda(y, gamma, Omega, 0.55, 1.45, 0.01)
         assert abs(lam_opt - 1.0) <= 0.01 + 1e-12
-        assert report.method == "usf_opt"
+        assert err < 1e-20
 
-    def test_report_is_the_baseline_at_the_optimum(self):
+    def test_mse_is_the_baseline_at_the_optimum(self):
         gamma, y, Omega = self._folded_at(1.0)
-        lam_opt, report = optimize_lambda(y, gamma, Omega, 0.55, 1.45, 0.01)
-        beta = round_beta(float(np.max(np.abs(gamma.values))), lam_opt)
-        at_opt = usf_recover(y, lam_opt, Omega, beta, strict=False)
-        np.testing.assert_array_equal(report.gamma_hat.values, at_opt.gamma_hat.values)
-        assert report.diagnostics["lambda_opt_mse"] == calibrated_mse(
-            at_opt.gamma_hat.values, gamma.values
+        lam_opt, err = optimize_lambda(y, gamma, Omega, 0.55, 1.45, 0.01)
+        lam_ref, report_ref = _reference.optimize_lambda(y, gamma, Omega, 0.55, 1.45, 0.01)
+        assert lam_opt == lam_ref == report_ref.diagnostics["lambda_opt"]
+        assert err == report_ref.diagnostics["lambda_opt_mse"] == calibrated_mse(
+            report_ref.gamma_hat.values, gamma.values
         )
 
     def test_detects_miscalibrated_threshold(self):

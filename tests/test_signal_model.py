@@ -61,9 +61,11 @@ class TestTrigPolynomial:
             with pytest.raises(ValueError, match="coeffs must be finite"):
                 TrigPolynomial(tau=1.0, P=1, coeffs=coeffs)
 
-    def test_symmetry_check_is_allclose(self):
-        # the written-out comparison accepts exactly what np.allclose with
-        # atol = 1e-12 * max(max|c|, 1) accepts, near both tolerances
+    def test_symmetry_check_is_the_sum_rule(self):
+        # accepted exactly when half the summed asymmetry
+        # |c_p - conj(c_-p)| is at most 1e-9 * sum|c| + 1e-12: perturbed
+        # Hermitian draws from 1e-14 to 1e2 in size, half of them within a
+        # factor of 10 of that bound
         rng = np.random.default_rng(0)
         decided = set()
         for trial in range(600):
@@ -72,11 +74,16 @@ class TestTrigPolynomial:
             pos *= 10.0 ** rng.uniform(-14, 2)
             c = np.concatenate([np.conj(pos[::-1]), [rng.standard_normal()], pos])
             p = int(rng.integers(2 * P + 1))
-            size = 10.0 ** rng.uniform(-14, -3)
-            c[p] += size * max(abs(c[p]), 1e-12) * np.exp(2j * np.pi * rng.uniform())
-            accepted = bool(np.allclose(
-                c[::-1], np.conj(c), atol=1e-12 * max(np.max(np.abs(c)), 1.0)
-            ))
+            if trial % 2:
+                size = (1e-9 * np.sum(np.abs(c)) + 1e-12) * 10.0 ** rng.uniform(-1, 1)
+            else:
+                size = 10.0 ** rng.uniform(-14, -3) * max(abs(c[p]), 1e-12)
+            c[p] += size * np.exp(2j * np.pi * rng.uniform())
+            asym = sum(abs(c[i] - np.conj(c[2 * P - i])) for i in range(2 * P + 1))
+            bound = 1e-9 * sum(abs(x) for x in c) + 1e-12
+            if abs(0.5 * asym - bound) <= 1e-9 * bound:
+                continue  # too close to the bound for roundoff to settle
+            accepted = 0.5 * asym <= bound
             decided.add(accepted)
             try:
                 TrigPolynomial(tau=1.0, P=P, coeffs=c)
@@ -85,6 +92,30 @@ class TestTrigPolynomial:
             else:
                 assert accepted
         assert decided == {True, False}
+
+    def test_asymmetry_below_the_sum_bound_is_accepted(self):
+        # c_1 = 0 next to c_-1 = 1e-11: beyond np.allclose's absolute
+        # tolerance of 1e-12, but the imaginary part of g stays within
+        # 1e-11, below the sum bound, and sampling matches evaluate
+        g = TrigPolynomial(tau=1.0, P=1, coeffs=np.array([1e-11, 1.0, 0.0]))
+        grid = UniformGrid(T=1.0 / 8, K=8)
+        err = np.max(np.abs(sample(g, grid).values - evaluate(g, grid.times)))
+        assert 0 < err <= 1e-9 * np.sum(np.abs(g.coeffs))
+
+    @pytest.mark.parametrize("P", [1.5, 1.0, "1", None])
+    def test_non_integer_P_is_named(self, P):
+        with pytest.raises(ValueError, match="P must be an integer"):
+            TrigPolynomial(tau=1.0, P=P, coeffs=np.ones(3))
+        with pytest.raises(ValueError, match="P must be an integer"):
+            synthesize_random(P, 1.0, 1.0, 0)
+
+    def test_numpy_integer_P_passes_as_int(self):
+        g = TrigPolynomial(tau=1.0, P=np.int64(1), coeffs=np.array([0.5, 0.0, 0.5]))
+        assert type(g.P) is int
+        assert g.coeffs.tobytes() == cosine_signal().coeffs.tobytes()
+        a = synthesize_random(np.int32(4), 1.0, 3.0, 5)
+        b = synthesize_random(4, 1.0, 3.0, 5)
+        assert type(a.P) is int and a.coeffs.tobytes() == b.coeffs.tobytes()
 
     def test_coeffs_are_a_read_only_copy(self):
         c = np.array([0.5, 0.0, 0.5], dtype=complex)
@@ -266,19 +297,11 @@ class TestSample:
         err = np.max(np.abs(sample(g, grid).values - evaluate(g, grid.times)))
         assert err <= 1e-12 * np.sum(np.abs(g.coeffs))
 
-    def test_imaginary_part_guard(self):
-        g = cosine_signal()
-        sample(g, UniformGrid(T=0.25, K=4))  # the checked array is remembered
-        object.__setattr__(g, "coeffs", np.array([0.5, 0.0, 0.5 + 0.5j]))
-        with pytest.raises(AssertionError, match="imaginary part"):
-            sample(g, UniformGrid(T=0.25, K=4))
-
     def test_imaginary_part_guard_at_construction(self):
         # symmetric to np.allclose's 1e-5, but not to the 1e-9 that the
-        # real part of an inverse FFT needs
-        g = TrigPolynomial(tau=1.0, P=1, coeffs=np.array([0.5, 0.0, 0.5 + 1e-7j]))
-        with pytest.raises(AssertionError, match="imaginary part"):
-            sample(g, UniformGrid(T=0.25, K=4))
+        # real part of an inverse FFT needs: rejected before any sampling
+        with pytest.raises(ValueError, match="Hermitian"):
+            TrigPolynomial(tau=1.0, P=1, coeffs=np.array([0.5, 0.0, 0.5 + 1e-7j]))
 
     @pytest.mark.parametrize("T", [np.nan, np.inf])
     def test_non_finite_step(self, T):
@@ -287,6 +310,17 @@ class TestSample:
             UniformGrid(T=T, K=4)
         with pytest.raises(ValueError, match="T must be finite and positive"):
             sample(cosine_signal(), UniformGrid(T=T, K=4))
+
+    @pytest.mark.parametrize("K", [4.5, 4.0, "4"])
+    def test_non_integer_K_is_named(self, K):
+        with pytest.raises(ValueError, match="K must be an integer"):
+            UniformGrid(T=0.1, K=K)
+
+    def test_numpy_integer_K_passes_as_int(self):
+        grid = UniformGrid(T=0.25, K=np.int32(4))
+        assert type(grid.K) is int and grid == UniformGrid(T=0.25, K=4)
+        with pytest.raises(ValueError, match="K must be a positive integer"):
+            UniformGrid(T=0.25, K=np.int64(0))
 
 
 def _sv(values):
